@@ -22,15 +22,16 @@
 // tuples a greedy repair removes (Figure 2's stand-in for the NP-hard
 // cardinality repair). Custom functions implement ApproxFunc and must
 // satisfy the validity axioms (monotonicity and indifference to
-// redundancy, Definitions 4.1–4.3); the checkers in internal/approx are
-// re-exported for property-testing them.
+// redundancy, Definitions 4.1–4.3), which the internal/approx tests
+// property-check on the built-in functions.
 //
 // Beyond mining, the package covers the other half of the cleaning
 // story: applying constraints back to data. Violations enumerates the
-// tuple pairs violating a set of DCs (mined or hand-written), choosing
-// per DC between a PLI cluster-intersection join and a sharded parallel
-// refutation scan; Validate scores DCs against a relation under f1, f2,
-// or f3 and a threshold; Repair computes a greedy deletion set that
+// tuple pairs violating a set of DCs (mined or hand-written) through a
+// cost-based planner that runs each DC as a PLI cluster-intersection
+// join, a sorted-rank range probe, or a sharded parallel refutation
+// scan; Validate scores DCs against a relation under f1, f2, or f3 and
+// a threshold; Repair computes a greedy deletion set that
 // satisfies every constraint. ParseDCSpec reads constraints in the
 // paper's textual notation, so golden or expert DCs can be supplied as
 // strings (see cmd/dccheck for the command-line form):
@@ -47,6 +48,7 @@ package adc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -138,15 +140,17 @@ type Options struct {
 	Approx string
 	// Func overrides Approx with a custom approximation function.
 	Func ApproxFunc
-	// Epsilon is the approximation threshold ε ≥ 0; a DC is an ADC when
-	// 1 − f(D, Sϕ) ≤ ε (Definition 4.4). 0 mines valid DCs.
+	// Epsilon is the approximation threshold, a finite ε ≥ 0; a DC is
+	// an ADC when 1 − f(D, Sϕ) ≤ ε (Definition 4.4). 0 mines valid DCs.
 	Epsilon float64
 	// SampleFraction mines from a uniform sample of this fraction of
-	// tuples (0 or ≥1 mines the full relation). Section 7.
+	// tuples (0 or ≥1 mines the full relation; negative is an error).
+	// Section 7.
 	SampleFraction float64
-	// Alpha, when positive and the function is f1, replaces f1 on the
-	// sample with the adjusted f1′ of Section 7.2, so that acceptance
-	// implies (w.p. ≥ 1−Alpha) the DC is an ADC of the full relation.
+	// Alpha, in [0, 1), when positive and the function is f1, replaces
+	// f1 on the sample with the adjusted f1′ of Section 7.2, so that
+	// acceptance implies (w.p. ≥ 1−Alpha) the DC is an ADC of the full
+	// relation.
 	Alpha float64
 	// Algorithm selects the enumerator: "adcenum" (default), "searchmc"
 	// (the AFASTDC baseline), or "mmcs" (exact valid DCs only; requires
@@ -158,13 +162,6 @@ type Options struct {
 	// subtrees across n work-stealing workers. The mined DC set is
 	// identical for every value. Ignored by "searchmc" and "mmcs".
 	Workers int
-	// Evidence selects the evidence-set builder: "auto" (default,
-	// cluster-tiled with a data-driven worker heuristic), "cluster"
-	// (cluster-tiled, single-threaded), "fast" (per-pair PLI/bit-level,
-	// DCFinder-style), "parallel" (fast partitioned across GOMAXPROCS
-	// workers), or "naive" (per-pair predicate evaluation,
-	// FASTDC-style, the correctness oracle).
-	Evidence string
 	// Indexes optionally shares a per-column PLI store (for example
 	// Checker.Indexes) with evidence construction, so a server session
 	// that has already indexed its columns does not re-index them per
@@ -235,8 +232,8 @@ func Mine(rel *Relation, opts Options) (*Result, error) {
 	if rel.NumRows() < 2 {
 		return nil, fmt.Errorf("adc: relation %q needs at least 2 rows", rel.Name)
 	}
-	if opts.Epsilon < 0 {
-		return nil, fmt.Errorf("adc: negative epsilon %v", opts.Epsilon)
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
 
 	f := opts.Func
@@ -248,22 +245,12 @@ func Mine(rel *Relation, opts Options) (*Result, error) {
 		var err error
 		f, err = approx.ForName(name)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("adc: %w: %v", ErrInvalidOption, err)
 		}
 	}
-	// Validate the builder name before any expensive stage runs; the
-	// builder itself is constructed at the evidence step, once the
-	// effective data (full relation or sample) fixes the index store.
-	if _, err := evidenceBuilder(opts.Evidence, nil); err != nil {
-		return nil, err
-	}
-
 	algorithm := opts.Algorithm
 	if algorithm == "" {
 		algorithm = "adcenum"
-	}
-	if algorithm == "mmcs" && opts.Epsilon != 0 {
-		return nil, errors.New(`adc: algorithm "mmcs" mines valid DCs only; use Epsilon 0`)
 	}
 
 	popts := opts.Predicates
@@ -321,10 +308,6 @@ func Mine(rel *Relation, opts Options) (*Result, error) {
 	if data != rel {
 		indexes = nil // the store indexes the full relation, not the sample
 	}
-	builder, err := evidenceBuilder(opts.Evidence, indexes)
-	if err != nil {
-		return nil, err
-	}
 	needsVios := f.NeedsVios()
 	var ev *EvidenceSet
 	if cached != nil && (cached.ev.HasVios() || !needsVios) {
@@ -353,7 +336,8 @@ func Mine(rel *Relation, opts Options) (*Result, error) {
 			}
 		}
 		if ev == nil {
-			ev, err = builder.Build(space, needsVios)
+			var err error
+			ev, err = evidence.AutoBuilder{Indexes: indexes}.Build(space, needsVios)
 			if err != nil {
 				return nil, err
 			}
@@ -385,40 +369,55 @@ func Mine(rel *Relation, opts Options) (*Result, error) {
 			MaxPredicates: opts.MaxPredicates,
 		}, collect)
 		res.EnumCalls, res.LossEvals = stats.Nodes, stats.LossEvals
-	case "mmcs":
+	default: // "mmcs"; validate rejected every other name
 		stats := hitset.EnumerateMinimal(ev, hitset.Options{
 			MaxPredicates: opts.MaxPredicates,
 		}, collect)
 		res.EnumCalls = stats.Calls
-	default:
-		return nil, fmt.Errorf("adc: unknown algorithm %q (want adcenum, searchmc, or mmcs)",
-			algorithm)
 	}
 	res.EnumTime = time.Since(t0)
 	res.Total = time.Since(start)
 	return res, nil
 }
 
-func evidenceBuilder(name string, indexes *IndexStore) (evidence.Builder, error) {
-	switch name {
-	case "", "auto":
-		return evidence.AutoBuilder{Indexes: indexes}, nil
-	case "cluster":
-		return evidence.ClusterBuilder{Indexes: indexes}, nil
-	case "fast":
-		return evidence.FastBuilder{Indexes: indexes}, nil
-	case "parallel":
-		return evidence.ParallelBuilder{Indexes: indexes}, nil
-	case "naive":
-		return evidence.NaiveBuilder{}, nil
+// ErrInvalidOption marks a rejected mining or checking parameter (an
+// unknown name, a non-finite epsilon, an alpha outside [0, 1), a
+// negative sample fraction); test for it with errors.Is.
+var ErrInvalidOption = violation.ErrInvalidOption
+
+// validate runs before any stage. It rejects unknown algorithms and the
+// numeric parameters that would otherwise mine silently wrong output: a
+// NaN epsilon passes a "< 0" check and accepts nothing, alpha ≥ 1 makes
+// the f1′ margin −∞ and accepts everything, and a negative or NaN
+// fraction used to mine the full relation.
+func (o Options) validate() error {
+	bad := func(name string, v float64, want string) error {
+		return fmt.Errorf("adc: %w: %s %v (want %s)", ErrInvalidOption, name, v, want)
 	}
-	return nil, fmt.Errorf("adc: unknown evidence builder %q (want auto, cluster, fast, parallel, or naive)", name)
+	switch {
+	case math.IsNaN(o.Epsilon) || math.IsInf(o.Epsilon, 0) || o.Epsilon < 0:
+		return bad("epsilon", o.Epsilon, "a finite number ≥ 0")
+	case math.IsNaN(o.Alpha) || o.Alpha < 0 || o.Alpha >= 1:
+		return bad("alpha", o.Alpha, "a number in [0, 1)")
+	case math.IsNaN(o.SampleFraction) || o.SampleFraction < 0:
+		return bad("sample fraction", o.SampleFraction, "a number ≥ 0")
+	}
+	switch o.Algorithm {
+	case "", "adcenum", "searchmc":
+		return nil
+	case "mmcs":
+		if o.Epsilon != 0 {
+			return fmt.Errorf(`adc: %w: algorithm "mmcs" mines valid DCs only; use Epsilon 0`, ErrInvalidOption)
+		}
+		return nil
+	}
+	return fmt.Errorf("adc: %w: unknown algorithm %q (want adcenum, searchmc, or mmcs)", ErrInvalidOption, o.Algorithm)
 }
 
 // MineCache caches the expensive intermediates of Mine — the sampled
 // relation, the predicate space, and the evidence set — keyed by the
 // options that determine them (predicate options, sample fraction and
-// seed, evidence builder). Re-mining the same relation with a different
+// seed). Re-mining the same relation with a different
 // epsilon, algorithm, or approximation function then pays only for
 // enumeration. Safe for concurrent use; bound to one relation and its
 // append lineage: after the relation grows via AppendRows, call Extend
@@ -455,18 +454,14 @@ func NewMineCache() *MineCache {
 }
 
 // mineKey identifies the cached intermediates a run can reuse: the
-// predicate options, the effective sample (fraction and seed, or the
-// full relation), and the evidence builder.
+// predicate options and the effective sample (fraction and seed, or the
+// full relation).
 func mineKey(opts Options, popts PredicateOptions) string {
 	sample := "full"
 	if opts.SampleFraction > 0 && opts.SampleFraction < 1 {
 		sample = fmt.Sprintf("frac=%g,seed=%d", opts.SampleFraction, opts.Seed)
 	}
-	builder := opts.Evidence
-	if builder == "" {
-		builder = "auto"
-	}
-	return fmt.Sprintf("%+v|%s|%s", popts, sample, builder)
+	return fmt.Sprintf("%+v|%s", popts, sample)
 }
 
 // lookup returns the entry directly reusable for rel (built from this
@@ -577,8 +572,8 @@ func RankDCs(ev *EvidenceSet, dcs []DC) []DCScore { return rank.Rank(ev, dcs) }
 // Violation-checking types, re-exported from internal/violation.
 type (
 	// CheckOptions configures Violations, Validate, and Repair: the
-	// execution path ("auto", "pli", "scan"), worker count, and the
-	// per-DC cap on recorded pairs.
+	// execution path ("auto", the planner, or "scan"), worker count,
+	// and the per-DC cap on recorded pairs.
 	CheckOptions = violation.Options
 	// ViolationReport is the outcome of a Violations run: per-DC
 	// results plus aggregate per-tuple violation counts.
@@ -597,16 +592,13 @@ type (
 	PlanExplain = violation.PlanExplain
 )
 
-// Execution paths for CheckOptions.Path. AutoPath runs the greedy
-// cost-ordered planner (PlannerPath is a synonym); BinaryPath is the
-// historical two-way join-or-scan heuristic kept for comparison.
+// Execution paths for CheckOptions.Path: AutoPath (the default) lets
+// the cost-based planner choose each DC's shape, ScanPath forces the
+// refutation scan. DCViolations.Path reports the shape that ran:
+// "pli", "range", or "scan".
 const (
-	AutoPath    = violation.PathAuto
-	PlannerPath = violation.PathPlanner
-	PLIPath     = violation.PathPLI
-	RangePath   = violation.PathRange
-	ScanPath    = violation.PathScan
-	BinaryPath  = violation.PathBinary
+	AutoPath = violation.PathAuto
+	ScanPath = violation.PathScan
 )
 
 // Checker binds a relation to reusable checking state: per-column
@@ -628,9 +620,9 @@ var NewChecker = violation.NewChecker
 
 // Violations enumerates, for every DC, the ordered tuple pairs of the
 // relation that violate it, with per-tuple violation counts and the DC's
-// approximation losses under f1, f2, and f3. Each DC runs on the PLI
-// cluster-intersection path or the parallel refutation scan, per
-// CheckOptions.Path.
+// approximation losses under f1, f2, and f3. Each DC runs on the shape
+// the planner picks (PLI join, range probe, or parallel refutation
+// scan), or on the scan when CheckOptions.Path is ScanPath.
 func Violations(rel *Relation, dcs []DCSpec, opts CheckOptions) (*ViolationReport, error) {
 	return violation.Check(rel, dcs, opts)
 }

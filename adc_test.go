@@ -1,6 +1,8 @@
 package adc_test
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -98,30 +100,6 @@ func TestMineValidDCsWithMMCS(t *testing.T) {
 	}
 }
 
-func TestMineEvidenceBuildersAgree(t *testing.T) {
-	d, _ := datagen.ByName("stock", 60, 3)
-	naive, err := adc.Mine(d.Rel, adc.Options{Epsilon: 0.01, Evidence: "naive", MaxPredicates: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kn := metrics.KeySet(naive.DCs)
-	for _, builder := range []string{"fast", "parallel", "cluster", "auto", ""} {
-		res, err := adc.Mine(d.Rel, adc.Options{Epsilon: 0.01, Evidence: builder, MaxPredicates: 3})
-		if err != nil {
-			t.Fatalf("%q: %v", builder, err)
-		}
-		kb := metrics.KeySet(res.DCs)
-		if len(kb) != len(kn) {
-			t.Fatalf("%q mined %d DCs, naive %d", builder, len(kb), len(kn))
-		}
-		for k := range kb {
-			if !kn[k] {
-				t.Fatalf("builder %q changed mined DCs", builder)
-			}
-		}
-	}
-}
-
 // TestMineSharedIndexes pins the PLI-sharing contract: mining with a
 // Checker's index store produces the same DCs, and the store must be
 // ignored when mining from a sample (whose rows it does not describe).
@@ -204,12 +182,20 @@ func TestMineErrors(t *testing.T) {
 	cases := []adc.Options{
 		{Approx: "f9"},
 		{Algorithm: "bogus"},
-		{Evidence: "bogus"},
+		{Algorithm: "mmcs", Epsilon: 0.1},
 		{Epsilon: -0.5},
+		{Epsilon: math.NaN()},
+		{Epsilon: math.Inf(1)},
+		{SampleFraction: 0.5, Alpha: 1},
+		{SampleFraction: 0.5, Alpha: 2},
+		{SampleFraction: 0.5, Alpha: -0.05},
+		{SampleFraction: 0.5, Alpha: math.NaN()},
+		{SampleFraction: -0.5},
+		{SampleFraction: math.NaN()},
 	}
 	for i, opts := range cases {
-		if _, err := adc.Mine(rel, opts); err == nil {
-			t.Errorf("case %d: want error", i)
+		if _, err := adc.Mine(rel, opts); !errors.Is(err, adc.ErrInvalidOption) {
+			t.Errorf("case %d (%+v): err = %v, want adc.ErrInvalidOption", i, opts, err)
 		}
 	}
 	if _, err := adc.Mine(nil, adc.Options{}); err == nil {

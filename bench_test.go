@@ -3,6 +3,8 @@ package adc_test
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (Section 8), each delegating to the corresponding runner in
 // internal/experiments, plus micro-benchmarks of the pipeline stages.
+// Evidence-builder and query-planner benchmarks live next to their
+// baselines, in internal/evidence and internal/violation.
 //
 // Figure benchmarks run the full experiment per iteration at a reduced
 // scale (see benchRows) so `go test -bench=.` completes in minutes; to
@@ -14,7 +16,6 @@ package adc_test
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -136,170 +137,11 @@ func BenchmarkPredicateSpace(b *testing.B) {
 	}
 }
 
-func BenchmarkEvidenceFast(b *testing.B) {
-	d := benchDataset(b, "stock", 200)
-	space := predicate.Build(d.Rel, predicate.DefaultOptions())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := (evidence.FastBuilder{}).Build(space, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEvidenceParallel(b *testing.B) {
-	d := benchDataset(b, "stock", 200)
-	space := predicate.Build(d.Rel, predicate.DefaultOptions())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := (evidence.ParallelBuilder{}).Build(space, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEvidenceCluster is the cluster-tiled builder, single-threaded
-// like BenchmarkEvidenceFast so the CI gate compares algorithms, not
-// core counts (BENCH_evidence.json records the ratio).
-func BenchmarkEvidenceCluster(b *testing.B) {
-	d := benchDataset(b, "stock", 200)
-	space := predicate.Build(d.Rel, predicate.DefaultOptions())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := (evidence.ClusterBuilder{}).Build(space, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEvidenceAuto(b *testing.B) {
-	d := benchDataset(b, "stock", 200)
-	space := predicate.Build(d.Rel, predicate.DefaultOptions())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := (evidence.AutoBuilder{}).Build(space, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// The adult dataset is categorical and equal-heavy — the workload class
-// the cluster builder targets (super-rows collapse, rank runs are
-// long). The CI evidence gate compares the next two benchmarks and
-// requires cluster ≥ 2x fast; stock above measures the worst case
-// (near-zero signature compression).
-func BenchmarkEvidenceFastAdult(b *testing.B) {
-	d := benchDataset(b, "adult", 200)
-	space := predicate.Build(d.Rel, predicate.DefaultOptions())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := (evidence.FastBuilder{}).Build(space, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEvidenceClusterAdult(b *testing.B) {
-	d := benchDataset(b, "adult", 200)
-	space := predicate.Build(d.Rel, predicate.DefaultOptions())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := (evidence.ClusterBuilder{}).Build(space, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// deltaBenchOnce builds the incremental-maintenance gate workload once:
-// adult at 2000 rows with a 1% append (20 rows duplicating existing
-// rows, so every appended value already occurs and the grown predicate
-// space keeps the base structure — ApplyDelta never falls back). The
-// fixture holds the base evidence and the grown space; the two
-// benchmarks below then time the two ways of reaching the grown
-// relation's evidence.
-type deltaBenchFixture struct {
-	space *predicate.Space // grown relation's predicate space
-	prev  *evidence.Set    // base (pre-append) evidence
-}
-
-var deltaBenchOnce = sync.OnceValues(func() (*deltaBenchFixture, error) {
-	d, err := datagen.ByName("adult", 2000, benchSeed)
-	if err != nil {
-		return nil, err
-	}
-	base := d.Rel
-	recs := make([][]string, 20)
-	for i := range recs {
-		rec := make([]string, len(base.Columns))
-		for j, c := range base.Columns {
-			rec[j] = c.ValueString(i)
-		}
-		recs[i] = rec
-	}
-	grown, err := base.AppendRows(recs)
-	if err != nil {
-		return nil, err
-	}
-	popts := predicate.DefaultOptions()
-	prev, err := (evidence.ClusterBuilder{}).Build(predicate.Build(base, popts), false)
-	if err != nil {
-		return nil, err
-	}
-	space := predicate.Build(grown, popts)
-	if _, _, err := prev.ApplyDelta(space, nil); err != nil {
-		return nil, fmt.Errorf("delta fixture is not delta-maintainable: %w", err)
-	}
-	return &deltaBenchFixture{space: space, prev: prev}, nil
-})
-
-// The CI gate compares the next two benchmarks (BENCH_delta.json records
-// the ratio, min of 3 runs) and requires the incremental path ≥ 5x the
-// scratch rebuild; the differential suite in internal/evidence proves
-// the two outputs identical.
-func BenchmarkEvidenceDeltaScratch(b *testing.B) {
-	fx, err := deltaBenchOnce()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (evidence.ClusterBuilder{}).Build(fx.space, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEvidenceDeltaDelta(b *testing.B) {
-	fx, err := deltaBenchOnce()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := fx.prev.ApplyDelta(fx.space, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEvidenceNaive(b *testing.B) {
-	d := benchDataset(b, "stock", 200)
-	space := predicate.Build(d.Rel, predicate.DefaultOptions())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := (evidence.NaiveBuilder{}).Build(space, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func benchEvidence(b *testing.B, withVios bool) *evidence.Set {
 	b.Helper()
 	d := benchDataset(b, "stock", 150)
 	space := predicate.Build(d.Rel, predicate.DefaultOptions())
-	ev, err := (evidence.FastBuilder{}).Build(space, withVios)
+	ev, err := (evidence.AutoBuilder{}).Build(space, withVios)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -488,7 +330,7 @@ func benchEnumEvidence(b *testing.B) *evidence.Set {
 	b.Helper()
 	d := benchDataset(b, "adult", 80)
 	space := predicate.Build(d.Rel, predicate.DefaultOptions())
-	ev, err := (evidence.ClusterBuilder{}).Build(space, false)
+	ev, err := (evidence.AutoBuilder{Workers: 1}).Build(space, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -587,7 +429,6 @@ func benchViolations(b *testing.B, path string) {
 	}
 }
 
-func BenchmarkViolationsPLI(b *testing.B)  { benchViolations(b, adc.PLIPath) }
 func BenchmarkViolationsScan(b *testing.B) { benchViolations(b, adc.ScanPath) }
 func BenchmarkViolationsAuto(b *testing.B) { benchViolations(b, adc.AutoPath) }
 
@@ -618,66 +459,3 @@ func BenchmarkMineSampled(b *testing.B) {
 		}
 	}
 }
-
-// ---- Query-planner benchmarks --------------------------------------------
-
-// benchPlanDC measures one DC under one execution path on the dirtied
-// adult dataset against a warm checker — the serving steady state,
-// where indexes and compiled plans amortize across requests. The
-// BenchmarkPlan* family feeds BENCH_planner.json; its headline ratio
-// BenchmarkPlanMultiPredBinary / BenchmarkPlanMultiPred is the
-// planner-vs-old-auto speedup the CI gate enforces, on a DC the binary
-// heuristic can only scan (no equality predicate) but the planner
-// drives through a sorted-rank range probe.
-func benchPlanDC(b *testing.B, path, dc string) {
-	d := benchDataset(b, "adult", 2000)
-	rng := rand.New(rand.NewSource(benchSeed))
-	rel := adc.AddNoise(d.Rel, adc.SpreadNoise, 0.01, rng)
-	specs, err := adc.ParseDCSpecs([]string{dc})
-	if err != nil {
-		b.Fatal(err)
-	}
-	checker := adc.NewChecker(rel)
-	// Cap the reported pair list: these DCs violate on ~10⁵ of the 4M
-	// ordered pairs, and materializing every one would measure pair-list
-	// collection instead of plan execution (counts stay exact either way).
-	opts := adc.CheckOptions{Path: path, MaxPairs: 64}
-	if _, err := checker.Check(specs, opts); err != nil {
-		b.Fatal(err) // warm: indexes built, plan compiled
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := checker.Check(specs, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Results[0].Violations == 0 {
-			b.Fatal("no violations; benchmark is vacuous")
-		}
-	}
-}
-
-// benchPlanMultiPredDC is the gate workload: order predicates only, so
-// the binary heuristic's answer is always the full O(n²) scan, while
-// the planner's histogram-exact selectivities find the cross-column
-// driver (capital loss spans [0,2k), gain [0,5k), so P(loss > gain) ≈
-// 0.2 — the generic "order ≈ 0.5" guess would have missed it) and
-// probe only a fifth of the pairs, refuting with the residuals.
-const benchPlanMultiPredDC = "not(t.CapitalLoss > t'.CapitalGain and t.Age <= t'.Age" +
-	" and t.Fnlwgt >= t'.Fnlwgt and t.HoursPerWeek < t'.HoursPerWeek)"
-
-func BenchmarkPlanEqJoin(b *testing.B) {
-	benchPlanDC(b, adc.PlannerPath, "not(t.Education = t'.Education and t.EducationNum != t'.EducationNum)")
-}
-
-func BenchmarkPlanRangeProbe(b *testing.B) {
-	benchPlanDC(b, adc.PlannerPath, "not(t.EducationNum > t'.EducationNum and t.Age <= t'.Age)")
-}
-
-func BenchmarkPlanResidual(b *testing.B) {
-	benchPlanDC(b, adc.PlannerPath, "not(t.Education = t'.Education and t.Age <= t'.Age and t.Fnlwgt >= t'.Fnlwgt)")
-}
-
-func BenchmarkPlanMultiPred(b *testing.B)       { benchPlanDC(b, adc.PlannerPath, benchPlanMultiPredDC) }
-func BenchmarkPlanMultiPredBinary(b *testing.B) { benchPlanDC(b, adc.BinaryPath, benchPlanMultiPredDC) }

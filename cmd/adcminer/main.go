@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -39,7 +40,6 @@ func run() int {
 		alpha     = flag.Float64("alpha", 0, "confidence α for the sample-threshold correction (f1 only)")
 		algorithm = flag.String("algorithm", "adcenum", "enumerator: adcenum, searchmc, or mmcs")
 		workers   = flag.Int("workers", 0, "enumeration workers for adcenum (0 = auto, 1 = sequential)")
-		evid      = flag.String("evidence", "auto", "evidence builder: auto, cluster, fast, parallel, or naive")
 		maxPreds  = flag.Int("max-preds", 0, "maximum predicates per DC (0 = unbounded)")
 		seed      = flag.Int64("seed", 1, "sampling seed")
 		ingestW   = flag.Int("ingest-workers", 0, "CSV ingest parse workers (0 = GOMAXPROCS)")
@@ -118,13 +118,15 @@ func run() int {
 		Alpha:          *alpha,
 		Algorithm:      *algorithm,
 		Workers:        *workers,
-		Evidence:       *evid,
 		MaxPredicates:  *maxPreds,
 		Seed:           *seed,
 		Indexes:        indexes,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "adcminer:", err)
+		if errors.Is(err, adc.ErrInvalidOption) {
+			return 2 // a usage error, like a missing -input
+		}
 		return 1
 	}
 	if *saveSnap != "" {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -99,5 +100,17 @@ func TestRunNoExplainOmitsPlan(t *testing.T) {
 	}
 	if strings.Contains(out.String(), `"plan"`) {
 		t.Errorf("plan emitted without -explain:\n%s", out.String())
+	}
+}
+
+// TestRunNaNEpsFails: NaN compares false against every loss, so without
+// the usage check a DC with zero violations would print FAIL and exit 1.
+func TestRunNaNEpsFails(t *testing.T) {
+	cfg := baseConfig(writeCSV(t))
+	cfg.dcFlags = []string{"not(t.Zip = t'.Zip and t.State != t'.State and t.Salary < t'.Salary)"}
+	cfg.eps = math.NaN()
+	var out strings.Builder
+	if code := run(&out, cfg); code != 2 {
+		t.Fatalf("exit code = %d, want 2 (NaN eps rejected)", code)
 	}
 }

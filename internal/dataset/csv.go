@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"os"
 	"strconv"
@@ -24,51 +23,6 @@ import (
 // in principle accept and this one rejects).
 func ReadCSV(rd io.Reader, name string, header bool) (*Relation, error) {
 	return ReadCSVOptions(rd, name, header, IngestOptions{})
-}
-
-// readCSVBuffered is the original csv.ReadAll-based implementation,
-// retained as the correctness oracle for the streaming reader: the
-// differential and fuzz tests require ReadCSVOptions to reproduce its
-// output (and its errors) exactly. It is not called in production.
-func readCSVBuffered(rd io.Reader, name string, header bool) (*Relation, error) {
-	cr := csv.NewReader(rd)
-	cr.FieldsPerRecord = -1
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: reading CSV for %q: %w", name, err)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("dataset: CSV for %q is empty", name)
-	}
-	var names []string
-	if header {
-		names = records[0]
-		records = records[1:]
-	} else {
-		names = make([]string, len(records[0]))
-		for i := range names {
-			names[i] = "c" + strconv.Itoa(i)
-		}
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("dataset: CSV for %q has a header but no rows", name)
-	}
-	width := len(names)
-	for i, rec := range records {
-		if len(rec) != width {
-			return nil, fmt.Errorf("dataset: CSV for %q: row %d has %d fields, want %d",
-				name, i+1, len(rec), width)
-		}
-	}
-	cols := make([]*Column, width)
-	for j := 0; j < width; j++ {
-		raw := make([]string, len(records))
-		for i, rec := range records {
-			raw[i] = strings.TrimSpace(rec[j])
-		}
-		cols[j] = inferColumn(names[j], raw)
-	}
-	return NewRelation(name, cols)
 }
 
 // ReadCSVFile reads a relation from a CSV file on disk; the relation is

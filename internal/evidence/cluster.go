@@ -11,8 +11,7 @@ import (
 	"adc/internal/predicate"
 )
 
-// ClusterBuilder constructs the evidence set cluster- and cache-aware,
-// the block-structured successor of FastBuilder:
+// AutoBuilder constructs the evidence set cluster- and cache-aware:
 //
 //   - Rows with identical predicate behavior — equal single-tuple masks
 //     and equal PLI codes in every cross-tuple group, in both tuple
@@ -35,65 +34,30 @@ import (
 //     no string allocation); worker-local tables merge with a
 //     word-level combine instead of re-hashing through Go maps.
 //
-// The result is bit-for-bit identical to NaiveBuilder's (tests and the
-// fuzz corpus enforce this); only the construction cost differs.
-type ClusterBuilder struct {
-	// Workers is the number of goroutines; 0 means 1 (single-threaded,
-	// the honest baseline for builder comparisons — AutoBuilder turns
-	// on parallelism when the workload warrants it).
-	Workers int
-	// TileSize is the tile edge in super-rows; 0 means 64, which keeps
-	// a tile row's evidence L1-resident for typical predicate-space
-	// widths.
-	TileSize int
-	// Indexes optionally shares a per-column PLI cache; see
-	// FastBuilder.Indexes.
-	Indexes *pli.Store
-}
-
-// Name implements Builder.
-func (ClusterBuilder) Name() string { return "cluster-tiled" }
-
-// Build implements Builder.
-func (b ClusterBuilder) Build(space *predicate.Space, withVios bool) (*Set, error) {
-	n := space.Rel.NumRows()
-	if n < 2 {
-		return nil, fmt.Errorf("evidence: need at least 2 rows, have %d", n)
-	}
-	workers := b.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	cp := prepareClusters(preparePlan(space, b.Indexes), n, b.TileSize)
-	return cp.run(space, withVios, workers), nil
-}
-
-// AutoBuilder selects the evidence construction strategy from the data:
-// it prepares the shared PLI plan, collapses rows into super-rows, and
-// then applies a cardinality heuristic. When the signature space barely
-// compresses (s ≈ n) and every operator group is high-cardinality (no
-// rank clusters to batch), the block machinery cannot add much over the
-// per-pair fast kernel, but the intern table still wins — so the
-// cluster kernel runs in both regimes and the heuristic only decides
-// the worker count: single-threaded for small super-pair counts (the
-// goroutine fan-out costs more than the work), parallel beyond that.
+// The worker count follows the data: single-threaded for small
+// super-pair counts (the goroutine fan-out costs more than the work),
+// parallel beyond that. For a fixed worker count the distinct sets come
+// out in the same order on every build. The result is bit-for-bit
+// identical to the per-pair, per-predicate oracle of the package tests
+// (tests and the fuzz corpus enforce this); only the construction cost
+// differs.
 type AutoBuilder struct {
 	// Workers bounds the goroutines used when the heuristic goes
-	// parallel; 0 means GOMAXPROCS.
+	// parallel; 0 means GOMAXPROCS and 1 forces a single thread.
 	Workers int
-	// Indexes optionally shares a per-column PLI cache; see
-	// FastBuilder.Indexes.
+	// Indexes optionally shares a per-column PLI cache (the same store
+	// the violation checker uses) so long-lived callers skip rebuilding
+	// same-attribute indexes. Ignored unless it covers exactly the
+	// relation's columns.
 	Indexes *pli.Store
 }
-
-// Name implements Builder.
-func (AutoBuilder) Name() string { return "auto" }
 
 // autoSerialPairs: below this many super-pairs a single worker beats
 // the goroutine fan-out cost.
 const autoSerialPairs = 1 << 16
 
-// Build implements Builder.
+// Build constructs Evi(D). When withVios is set, per-tuple participation
+// counts are recorded (needed by f2 and greedy f3).
 func (b AutoBuilder) Build(space *predicate.Space, withVios bool) (*Set, error) {
 	n := space.Rel.NumRows()
 	if n < 2 {

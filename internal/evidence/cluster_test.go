@@ -67,7 +67,7 @@ func TestClusterMatchesNaiveOnRunningExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 2, 3, 7} {
-		cluster, err := evidence.ClusterBuilder{Workers: workers}.Build(space, true)
+		cluster, err := evidence.TiledBuilder{Workers: workers}.Build(space, true)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -85,7 +85,7 @@ func TestClusterTileSizes(t *testing.T) {
 	// Tile edges below, at, and above the row count exercise partial
 	// tiles and the diagonal in every position.
 	for _, tile := range []int{1, 2, 3, 5, 16, 1024} {
-		cluster, err := evidence.ClusterBuilder{TileSize: tile, Workers: 2}.Build(space, false)
+		cluster, err := evidence.TiledBuilder{TileSize: tile, Workers: 2}.Build(space, false)
 		if err != nil {
 			t.Fatalf("tile=%d: %v", tile, err)
 		}
@@ -122,7 +122,7 @@ func TestClusterAllRowsIdentical(t *testing.T) {
 		dataset.NewIntColumn("x", vals),
 	})
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	set, err := evidence.ClusterBuilder{}.Build(space, true)
+	set, err := evidence.TiledBuilder{}.Build(space, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestClusterAllRowsIdentical(t *testing.T) {
 }
 
 // TestClusterAllRowsDistinct exercises the no-compression path (every
-// signature unique) and AutoBuilder's fast-kernel fallback.
+// signature unique), on the tiled kernel and through AutoBuilder.
 func TestClusterAllRowsDistinct(t *testing.T) {
 	n := 23
 	vals := make([]float64, n)
@@ -158,7 +158,7 @@ func TestClusterAllRowsDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := evidence.ClusterBuilder{Workers: 3}.Build(space, true)
+	cluster, err := evidence.TiledBuilder{Workers: 3}.Build(space, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestClusterTooFewRows(t *testing.T) {
 		dataset.NewIntColumn("a", []int64{1}),
 	})
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	if _, err := (evidence.ClusterBuilder{}).Build(space, false); err == nil {
+	if _, err := (evidence.TiledBuilder{}).Build(space, false); err == nil {
 		t.Error("cluster: want error on single-row relation")
 	}
 	if _, err := (evidence.AutoBuilder{}).Build(space, false); err == nil {
@@ -190,12 +190,12 @@ func TestClusterDeterministicOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	rel := randomRelation(r)
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	first, err := evidence.ClusterBuilder{Workers: 4, TileSize: 2}.Build(space, false)
+	first, err := evidence.TiledBuilder{Workers: 4, TileSize: 2}.Build(space, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 3; trial++ {
-		again, err := evidence.ClusterBuilder{Workers: 4, TileSize: 2}.Build(space, false)
+		again, err := evidence.TiledBuilder{Workers: 4, TileSize: 2}.Build(space, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestQuickClusterAgreesWithNaive(t *testing.T) {
 		}
 		workers := 1 + r.Intn(5)
 		tile := 1 + r.Intn(12)
-		cluster, err := evidence.ClusterBuilder{Workers: workers, TileSize: tile}.Build(space, true)
+		cluster, err := evidence.TiledBuilder{Workers: workers, TileSize: tile}.Build(space, true)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -30,7 +30,7 @@ type DeltaStats struct {
 // space from s, the cached evidence of that relation's first s.NumRows
 // rows. An append of k rows touches only the 2·k·(n−k) cross pairs and
 // the k·(k−1) new-new pairs, so the delta reuses the super-row
-// machinery of ClusterBuilder — rows are interned by signature, each
+// machinery of AutoBuilder — rows are interned by signature, each
 // signature is split at the append boundary into an old part and a new
 // part (members of a part are pairwise interchangeable and uniformly
 // old or new), and one representative pair per part pair yields the

@@ -6,25 +6,15 @@
 // per-tuple participation counts ("vios", Figure 2) that the f2 and
 // greedy-f3 approximation functions consume.
 //
-// Several interchangeable builders are provided, all producing
-// bit-for-bit identical evidence. NaiveBuilder evaluates every
-// predicate on every ordered pair, as in FASTDC (Chu et al.); it is
-// the correctness oracle and the evidence-cost baseline. FastBuilder
-// is in the style of DCFinder (Pena et al.): it reduces each operator
-// group to a small comparison code per pair, computed from PLI ranks,
-// and ORs precomputed bit masks — the bit-level construction the paper
-// adopts for its evidence component (Section 4.2, component 3).
-// ParallelBuilder partitions FastBuilder's pair loop across workers.
-// ClusterBuilder collapses signature-identical rows into weighted
-// super-rows and processes rank-sorted, cache-sized tiles with
-// per-cluster-pair mask selection and an arena-backed intern table;
-// AutoBuilder (the adc.Mine default) wraps it with a worker heuristic.
+// AutoBuilder is the one builder: bit-level evidence in the style of
+// DCFinder (Pena et al.), the construction the paper adopts for its
+// evidence component (Section 4.2, component 3), with rows collapsed
+// into super-rows and the pair space tiled. Set.ApplyDelta maintains a
+// built set across appends. The package tests keep FASTDC's per-pair,
+// per-predicate build (Chu et al.) as the oracle.
 package evidence
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"adc/internal/bitset"
 	"adc/internal/predicate"
 )
@@ -96,103 +86,6 @@ func (s *Set) Uncovered(hs bitset.Bits) []int {
 
 // CountOf returns the multiplicity of distinct set k.
 func (s *Set) CountOf(k int) int64 { return s.Counts[k] }
-
-// Builder constructs the evidence set of the relation underlying a
-// predicate space.
-type Builder interface {
-	// Name identifies the builder in benchmarks and experiment output.
-	Name() string
-	// Build constructs Evi(D). When withVios is set, per-tuple
-	// participation counts are recorded (needed by f2 and greedy f3).
-	Build(space *predicate.Space, withVios bool) (*Set, error)
-}
-
-// accumulator deduplicates evidence bitsets during construction.
-type accumulator struct {
-	space    *predicate.Space
-	words    int
-	buf      []byte
-	index    map[string]int32
-	out      *Set
-	withVios bool
-}
-
-func newAccumulator(space *predicate.Space, withVios bool) *accumulator {
-	words := bitset.WordsFor(space.Size())
-	n := space.Rel.NumRows()
-	a := &accumulator{
-		space:    space,
-		words:    words,
-		buf:      make([]byte, 8*words),
-		index:    make(map[string]int32),
-		withVios: withVios,
-		out: &Set{
-			Space:      space,
-			TotalPairs: int64(n) * int64(n-1),
-			NumRows:    n,
-		},
-	}
-	if withVios {
-		a.out.Vios = []map[int32]int64{}
-	}
-	return a
-}
-
-// add records the evidence bitset ev for ordered pair (i, j).
-func (a *accumulator) add(ev bitset.Bits, i, j int) {
-	for w, word := range ev {
-		binary.LittleEndian.PutUint64(a.buf[8*w:], word)
-	}
-	idx, ok := a.index[string(a.buf)]
-	if !ok {
-		idx = int32(len(a.out.Sets))
-		a.index[string(a.buf)] = idx
-		a.out.Sets = append(a.out.Sets, ev.Clone())
-		a.out.Counts = append(a.out.Counts, 0)
-		if a.withVios {
-			a.out.Vios = append(a.out.Vios, map[int32]int64{})
-		}
-	}
-	a.out.Counts[idx]++
-	if a.withVios {
-		a.out.Vios[idx][int32(i)]++
-		a.out.Vios[idx][int32(j)]++
-	}
-}
-
-func (a *accumulator) finish() *Set { return a.out }
-
-// NaiveBuilder evaluates each predicate on each ordered pair, as in
-// FASTDC. Quadratic in |D| and linear in |P| per pair.
-type NaiveBuilder struct{}
-
-// Name implements Builder.
-func (NaiveBuilder) Name() string { return "naive" }
-
-// Build implements Builder.
-func (NaiveBuilder) Build(space *predicate.Space, withVios bool) (*Set, error) {
-	n := space.Rel.NumRows()
-	if n < 2 {
-		return nil, fmt.Errorf("evidence: need at least 2 rows, have %d", n)
-	}
-	acc := newAccumulator(space, withVios)
-	ev := bitset.New(space.Size())
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			ev.Reset()
-			for id := 0; id < space.Size(); id++ {
-				if space.Eval(id, i, j) {
-					ev.Set(id)
-				}
-			}
-			acc.add(ev, i, j)
-		}
-	}
-	return acc.finish(), nil
-}
 
 // MemBytes estimates the heap footprint of the evidence set, for cache
 // accounting: bitset words, multiplicities, and the vios maps at a

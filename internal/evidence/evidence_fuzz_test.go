@@ -63,11 +63,12 @@ func fuzzPredicateOptions(shape byte) predicate.Options {
 }
 
 // FuzzBuildersAgree is the cross-builder equivalence property: on any
-// relation and predicate space, NaiveBuilder (the oracle), FastBuilder,
-// ParallelBuilder, ClusterBuilder, and AutoBuilder produce identical
-// evidence multisets, including per-tuple vios. The seed corpus runs on
-// every plain `go test`; `go test -fuzz=FuzzBuildersAgree` explores
-// further.
+// relation and predicate space, AutoBuilder — at the data-driven and at
+// fixed worker counts, and with its kernel pinned to small tiles — and
+// the per-pair FastBuilder baseline produce the same evidence multiset,
+// including per-tuple vios, as NaiveBuilder (the oracle). The seed
+// corpus runs on every plain `go test`; `go test -fuzz=FuzzBuildersAgree`
+// explores further.
 func FuzzBuildersAgree(f *testing.F) {
 	for seed := int64(0); seed < 12; seed++ {
 		f.Add(seed, byte(seed*37))
@@ -84,17 +85,20 @@ func FuzzBuildersAgree(f *testing.F) {
 		if err != nil {
 			t.Fatalf("naive: %v", err)
 		}
-		builders := []evidence.Builder{
-			evidence.FastBuilder{},
-			evidence.ParallelBuilder{Workers: 1 + r.Intn(4)},
-			evidence.ClusterBuilder{Workers: 1 + r.Intn(4), TileSize: 1 + r.Intn(9)},
-			evidence.ClusterBuilder{},
-			evidence.AutoBuilder{},
+		builders := []struct {
+			name string
+			b    builder
+		}{
+			{"fast", evidence.FastBuilder{}},
+			{"tiled", evidence.TiledBuilder{Workers: 1 + r.Intn(4), TileSize: 1 + r.Intn(9)}},
+			{"auto/1", evidence.AutoBuilder{Workers: 1}},
+			{"auto/n", evidence.AutoBuilder{Workers: 2 + r.Intn(3)}},
+			{"auto", evidence.AutoBuilder{}},
 		}
 		for _, b := range builders {
-			got, err := b.Build(space, withVios)
+			got, err := b.b.Build(space, withVios)
 			if err != nil {
-				t.Fatalf("%s: %v", b.Name(), err)
+				t.Fatalf("%s: %v", b.name, err)
 			}
 			requireSameEvidence(t, naive, got, withVios)
 		}

@@ -68,7 +68,7 @@ func TestCountsSumToTotalPairs(t *testing.T) {
 func TestViolationCountsMatchPaperExamples(t *testing.T) {
 	rel := datagen.RunningExample()
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	set, err := evidence.FastBuilder{}.Build(space, false)
+	set, err := evidence.AutoBuilder{}.Build(space, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestViolationCountsMatchPaperExamples(t *testing.T) {
 func TestViolationCountAgreesWithDirectCount(t *testing.T) {
 	rel := datagen.RunningExample()
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	set, err := evidence.FastBuilder{}.Build(space, false)
+	set, err := evidence.AutoBuilder{}.Build(space, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestQuickViolationCountMatchesDirect(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		rel := randomRelation(r)
 		space := predicate.Build(rel, predicate.DefaultOptions())
-		set, err := evidence.FastBuilder{}.Build(space, false)
+		set, err := evidence.AutoBuilder{}.Build(space, false)
 		if err != nil {
 			return false
 		}
@@ -215,7 +215,7 @@ func TestQuickViolationCountMatchesDirect(t *testing.T) {
 func TestUncovered(t *testing.T) {
 	rel := datagen.RunningExample()
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	set, err := evidence.FastBuilder{}.Build(space, false)
+	set, err := evidence.AutoBuilder{}.Build(space, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestUncovered(t *testing.T) {
 func ExampleSet_ViolationCount() {
 	rel := datagen.RunningExample()
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	set, _ := evidence.FastBuilder{}.Build(space, false)
+	set, _ := evidence.AutoBuilder{}.Build(space, false)
 	phi2, _ := predicate.FromSpecs(space, datagen.Phi2())
 	fmt.Println(set.ViolationCount(phi2.HittingSet()))
 	// Output: 16

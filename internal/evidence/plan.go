@@ -1,36 +1,10 @@
 package evidence
 
 import (
-	"fmt"
-
 	"adc/internal/bitset"
 	"adc/internal/pli"
 	"adc/internal/predicate"
 )
-
-// FastBuilder constructs the evidence set with bit-level operations over
-// PLI ranks, in the style of BFASTDC / DCFinder:
-//
-//   - Single-tuple predicate groups depend only on the first tuple, so
-//     their contribution is a per-row mask computed once (O(n) per group
-//     instead of O(n²)).
-//   - Cross-tuple groups reduce to a three-way (numeric) or two-way
-//     (string) comparison code per pair, computed from dense PLI ranks;
-//     each code selects a precomputed mask of satisfied operators that
-//     is OR-ed into the pair's evidence bitset.
-//
-// The result is bit-for-bit identical to NaiveBuilder's (tests enforce
-// this); only the construction cost differs.
-type FastBuilder struct {
-	// Indexes optionally shares a per-column PLI cache (the same store
-	// the violation checker uses) so long-lived callers skip rebuilding
-	// same-attribute indexes. Ignored unless it covers exactly the
-	// relation's columns.
-	Indexes *pli.Store
-}
-
-// Name implements Builder.
-func (FastBuilder) Name() string { return "fast-pli" }
 
 // crossGroup is a cross-tuple operator group prepared for per-pair
 // evaluation: ranks (or merged equality codes) plus the operator masks.
@@ -44,7 +18,7 @@ type crossGroup struct {
 }
 
 // plan holds the precomputed per-row masks and cross-group rank/mask
-// tables shared by the fast builders.
+// tables that the cluster kernel and the delta pass start from.
 type plan struct {
 	rowMask []bitset.Bits
 	cross   []crossGroup
@@ -173,40 +147,4 @@ func (cg *crossGroup) mask(i, j int) bitset.Bits {
 	default:
 		return cg.maskGt
 	}
-}
-
-// addPairs feeds every ordered pair (i, j), i ≠ j, with i in
-// [lo, hi), into the accumulator. The first cross group is fused with
-// the base-mask copy (bitset.OrInto); the rest OR in place.
-func (p *plan) addPairs(acc *accumulator, lo, hi, n int) {
-	ev := make(bitset.Bits, p.words)
-	for i := lo; i < hi; i++ {
-		base := p.rowMask[i]
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if len(p.cross) == 0 {
-				copy(ev, base)
-			} else {
-				base.OrInto(p.cross[0].mask(i, j), ev)
-				for k := 1; k < len(p.cross); k++ {
-					ev.Or(p.cross[k].mask(i, j))
-				}
-			}
-			acc.add(ev, i, j)
-		}
-	}
-}
-
-// Build implements Builder.
-func (b FastBuilder) Build(space *predicate.Space, withVios bool) (*Set, error) {
-	n := space.Rel.NumRows()
-	if n < 2 {
-		return nil, fmt.Errorf("evidence: need at least 2 rows, have %d", n)
-	}
-	p := preparePlan(space, b.Indexes)
-	acc := newAccumulator(space, withVios)
-	p.addPairs(acc, 0, n, n)
-	return acc.finish(), nil
 }

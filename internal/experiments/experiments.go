@@ -11,7 +11,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"adc"
@@ -84,7 +83,7 @@ func All() []Runner {
 	return []Runner{
 		{"table4", "Table 4: dataset inventory", Table4},
 		{"fig6", "Figure 6: ADCEnum vs SearchMC enumeration time", Fig6},
-		{"fig7", "Figure 7: total runtime ADCMiner vs DCFinder vs AFASTDC", Fig7},
+		{"fig7", "Figure 7: total runtime ADCMiner vs DCFinder", Fig7},
 		{"fig8", "Figure 8: runtime by approximation function", Fig8},
 		{"fig9", "Figure 9: enumeration time vs sample size", Fig9},
 		{"fig10", "Figure 10: max vs min intersection branch choice", Fig10},
@@ -117,7 +116,7 @@ func Table4(cfg Config) error {
 		"dataset", "rows", "paperRows", "attrs", "golden", "|P|", "|Evi|")
 	for _, d := range cfg.datasets() {
 		space := predicate.Build(d.Rel, predicate.DefaultOptions())
-		ev, err := (evidence.FastBuilder{}).Build(space, false)
+		ev, err := (evidence.AutoBuilder{}).Build(space, false)
 		if err != nil {
 			return err
 		}
@@ -146,13 +145,3 @@ func goldenKeys(d datagen.Dataset) map[string]bool { return metrics.KeySet(d.Gol
 
 // ms renders a duration in milliseconds with fixed width.
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-// sortedKeys returns map keys in sorted order, for deterministic output.
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -1,12 +1,13 @@
-package loadgen
+// Package latency holds the one latency-histogram type that the server's
+// /metrics and the load generator's reports share.
+package latency
 
 import "time"
 
 // histBounds are the latency bucket upper bounds: 1.25x-spaced from
 // 10µs to ~2.5 minutes (75 buckets), the final implicit bucket is +Inf.
-// Finer than the server's serving histogram because a load report's
-// p95/p99 are the headline numbers — a 1.25x grid bounds quantile
-// error at 25% where a 2x grid would allow 100%.
+// A 1.25x grid bounds quantile error at 25%, where a 2x grid would
+// allow 100%.
 var histBounds = buildBounds()
 
 func buildBounds() []time.Duration {
@@ -20,9 +21,9 @@ func buildBounds() []time.Duration {
 }
 
 // Histogram is a fixed-bucket latency histogram with exact count, sum,
-// and max. It is not safe for concurrent use: each load client owns
-// one per op type and the runner merges them after the clients join —
-// no locks on the hot path, and merged results are deterministic.
+// and max. It is not safe for concurrent use: callers either own one
+// per goroutine and Merge them afterwards (the load generator's
+// clients) or guard it with their own lock (the server's metrics).
 type Histogram struct {
 	buckets []int64
 	count   int64
@@ -30,16 +31,18 @@ type Histogram struct {
 	max     time.Duration
 }
 
-func newHistogram() *Histogram {
+// New returns an empty histogram.
+func New() *Histogram {
 	return &Histogram{buckets: make([]int64, len(histBounds)+1)}
 }
 
-func (h *Histogram) observe(d time.Duration) {
+// Observe records one latency; negative durations count as 0.
+func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
 	// Binary search for the bucket: a linear scan over 75 bounds on
-	// every request would dominate the client's bookkeeping cost.
+	// every request would dominate the caller's bookkeeping cost.
 	lo, hi := 0, len(histBounds)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -57,8 +60,8 @@ func (h *Histogram) observe(d time.Duration) {
 	}
 }
 
-// merge folds other into h.
-func (h *Histogram) merge(other *Histogram) {
+// Merge folds other into h.
+func (h *Histogram) Merge(other *Histogram) {
 	for k, c := range other.buckets {
 		h.buckets[k] += c
 	}

@@ -99,27 +99,6 @@ func (op Operator) EvalNum(a, b float64) bool {
 	}
 }
 
-// EvalOrder evaluates the operator on a three-way comparison result
-// (cmp < 0, == 0, > 0 for a < b, a == b, a > b).
-func (op Operator) EvalOrder(cmp int) bool {
-	switch op {
-	case Eq:
-		return cmp == 0
-	case Neq:
-		return cmp != 0
-	case Lt:
-		return cmp < 0
-	case Leq:
-		return cmp <= 0
-	case Gt:
-		return cmp > 0
-	case Geq:
-		return cmp >= 0
-	default:
-		panic("predicate: bad operator")
-	}
-}
-
 // ParseOperator parses an operator symbol, accepting both "!=" and "<>"
 // as well as the unicode forms "≠", "≤", "≥".
 func ParseOperator(s string) (Operator, error) {

@@ -516,7 +516,8 @@ type checkRequest struct {
 	// Epsilon passes a DC when its loss is at most this (default 0:
 	// require no violations).
 	Epsilon float64 `json:"epsilon,omitempty"`
-	// Path forces the execution path: auto (default), pli, or scan.
+	// Path is auto (default; the planner picks each DC's shape) or scan
+	// (force the refutation scan).
 	Path string `json:"path,omitempty"`
 	// Workers is the per-DC goroutine count (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
@@ -657,15 +658,14 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 // ---- Mining jobs ---------------------------------------------------------
 
 type mineRequest struct {
-	// Approx, Epsilon, Algorithm, Workers, Evidence, SampleFraction,
-	// Alpha, Seed, and MaxPredicates mirror adc.Options. Workers is the
+	// Approx, Epsilon, Algorithm, Workers, SampleFraction, Alpha, Seed,
+	// and MaxPredicates mirror adc.Options. Workers is the
 	// enumeration worker count (0 = auto); the mined DC set does not
 	// depend on it.
 	Approx         string  `json:"approx,omitempty"`
 	Epsilon        float64 `json:"epsilon,omitempty"`
 	Algorithm      string  `json:"algorithm,omitempty"`
 	Workers        int     `json:"workers,omitempty"`
-	Evidence       string  `json:"evidence,omitempty"`
 	SampleFraction float64 `json:"sample_fraction,omitempty"`
 	Alpha          float64 `json:"alpha,omitempty"`
 	Seed           int64   `json:"seed,omitempty"`
@@ -705,7 +705,6 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		Epsilon:        req.Epsilon,
 		Algorithm:      req.Algorithm,
 		Workers:        req.Workers,
-		Evidence:       req.Evidence,
 		SampleFraction: req.SampleFraction,
 		Alpha:          req.Alpha,
 		Seed:           req.Seed,

@@ -201,6 +201,10 @@ func TestValidateErrors(t *testing.T) {
 		{"bad approx", ts.URL + "/datasets/" + id + "/validate", map[string]any{"dcs": []string{zipStateDC}, "approx": "f9"}, 400},
 		{"bad path", ts.URL + "/datasets/" + id + "/validate", map[string]any{"dcs": []string{zipStateDC}, "path": "warp"}, 400},
 		{"unknown field", ts.URL + "/datasets/" + id + "/validate", map[string]any{"dcs": []string{zipStateDC}, "bogus": 1}, 400},
+		// Shape names are results, not inputs: only auto and scan select.
+		{"retired path", ts.URL + "/datasets/" + id + "/validate", map[string]any{"dcs": []string{zipStateDC}, "path": "binary"}, 400},
+		// There is one evidence builder; a request cannot pick another.
+		{"evidence builder", ts.URL + "/datasets/" + id + "/mine", map[string]any{"evidence": "naive"}, 400},
 	}
 	for _, tc := range cases {
 		code, resp := call(t, c, "POST", tc.url, tc.body)

@@ -196,36 +196,15 @@ func (c *Checker) checkOne(spec predicate.DCSpec, opts Options) (*DCResult, erro
 	}
 	n := c.cache.rel.NumRows()
 
-	// Shape choice. Structures are only prepared when the chosen (or
-	// forced) path can use them: a forced scan builds nothing, a forced
-	// pli never builds the range probe, and the planner builds lazily
-	// (see prepareQueryPlan). Forcing a path with no usable structure
-	// falls back to the scan, reported in DCResult.Path.
+	// Shape choice. The planner prepares structures lazily (see
+	// prepareQueryPlan); a forced scan builds nothing.
 	var qp *queryPlan
-	switch opts.Path {
-	case PathScan:
+	switch {
+	case opts.Path == PathScan:
 		qp = scanQueryPlan(plan, n)
-	case PathPLI:
-		if pp := plan.pliPlan(c.cache); pp != nil {
-			qp = joinQueryPlan(pp)
-		} else {
-			qp = scanQueryPlan(plan, n)
-		}
-	case PathRange:
-		if rp := plan.rangePlan(c.cache); rp != nil {
-			qp = rangeQueryPlan(rp)
-		} else {
-			qp = scanQueryPlan(plan, n)
-		}
-	case PathBinary:
-		// The historical two-way heuristic, kept selectable so the
-		// planner's wins stay measurable against it.
-		if pp := plan.pliPlan(c.cache); pp != nil && pp.candPairs*pliAdvantage <= int64(n)*int64(n-1) {
-			qp = joinQueryPlan(pp)
-		} else {
-			qp = scanQueryPlan(plan, n)
-		}
-	default: // "", PathAuto, PathPlanner
+	case opts.force != nil:
+		qp = opts.force(c.cache, plan, n)
+	default:
 		qp = plan.queryPlan(c.cache, n)
 	}
 

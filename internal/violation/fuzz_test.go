@@ -130,8 +130,8 @@ func FuzzCheckPaths(f *testing.F) {
 			t.Fatalf("scan: %v", err)
 		}
 		want := base.Results[0]
-		for _, path := range []string{PathPLI, PathRange, PathAuto, PathPlanner, PathBinary} {
-			rep, err := Check(rel, specs, Options{Path: path, Workers: 1 + r.Intn(4)})
+		for _, path := range []string{PathPLI, PathRange, PathAuto, pathBinary} {
+			rep, err := Check(rel, specs, forced(path, Options{Workers: 1 + r.Intn(4)}))
 			if err != nil {
 				t.Fatalf("%s: %v", path, err)
 			}

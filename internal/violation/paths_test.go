@@ -24,7 +24,7 @@ func TestPathsAgreeOnGeneratedData(t *testing.T) {
 		dirty := datagen.AddNoise(d.Rel, datagen.Spread, 0.02, rng)
 		space := predicate.Build(dirty, predicate.DefaultOptions())
 
-		pliRep, err := Check(dirty, d.Golden, Options{Path: PathPLI})
+		pliRep, err := Check(dirty, d.Golden, forced(PathPLI, Options{}))
 		if err != nil {
 			t.Fatalf("%s/pli: %v", name, err)
 		}

@@ -28,8 +28,8 @@ func TestNaNCrossColumnDifferential(t *testing.T) {
 	// no NaN occurrence equals anything, itself included.
 	want := [][2]int{{1, 4}, {2, 1}}
 
-	for _, path := range []string{PathScan, PathPLI, PathRange, PathBinary, PathAuto, PathPlanner} {
-		rep, err := Check(rel, []predicate.DCSpec{spec}, Options{Path: path})
+	for _, path := range []string{PathScan, PathPLI, PathRange, pathBinary, PathAuto} {
+		rep, err := Check(rel, []predicate.DCSpec{spec}, forced(path, Options{}))
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -68,8 +68,8 @@ func TestNaNSameAttrPaths(t *testing.T) {
 	// Group {0,1,5} under G=1: V 5>3 gives (0,1); row 5's V is NaN, so
 	// it neither dominates nor is dominated.
 	want := [][2]int{{0, 1}}
-	for _, path := range []string{PathScan, PathPLI, PathBinary, PathAuto} {
-		rep, err := Check(rel, []predicate.DCSpec{spec}, Options{Path: path})
+	for _, path := range []string{PathScan, PathPLI, pathBinary, PathAuto} {
+		rep, err := Check(rel, []predicate.DCSpec{spec}, forced(path, Options{}))
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -107,8 +107,8 @@ func TestRangePathAgreesAndIsChosen(t *testing.T) {
 		{A: "Score", B: "Score", Op: predicate.Lt, Cross: true},
 	}
 	var scanPairs [][2]int
-	for _, path := range []string{PathScan, PathBinary, PathRange, PathAuto} {
-		rep, err := Check(rel, []predicate.DCSpec{spec}, Options{Path: path, Workers: 2})
+	for _, path := range []string{PathScan, pathBinary, PathRange, PathAuto} {
+		rep, err := Check(rel, []predicate.DCSpec{spec}, forced(path, Options{Workers: 2}))
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -124,7 +124,7 @@ func TestRangePathAgreesAndIsChosen(t *testing.T) {
 			t.Errorf("%s: pairs differ from scan", path)
 		}
 		switch path {
-		case PathBinary:
+		case pathBinary:
 			// No equality predicate: the old heuristic has only the scan.
 			if res.Path != PathScan {
 				t.Errorf("binary ran %q, want scan", res.Path)
@@ -177,7 +177,7 @@ func TestGroupRangePushdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pliRep, err := Check(rel, []predicate.DCSpec{spec}, Options{Path: PathPLI, Workers: 3})
+	pliRep, err := Check(rel, []predicate.DCSpec{spec}, forced(PathPLI, Options{Workers: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,32 +41,34 @@ package violation
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"adc/internal/dataset"
 	"adc/internal/predicate"
 )
 
-// Execution path names for Options.Path and DCResult.Path.
+// Execution path names. Options.Path accepts PathAuto (the default)
+// and PathScan; DCResult.Path reports the shape that ran as PathPLI,
+// PathRange, or PathScan.
 const (
-	// PathAuto lets the greedy cost-ordered planner choose per DC;
-	// PathPlanner is an explicit synonym.
-	PathAuto    = "auto"
-	PathPlanner = "planner"
-	// PathPLI forces the cluster-intersection join (scan fallback when
-	// the DC has no equality predicate); PathRange forces the
-	// sorted-rank range probe (scan fallback without an order
-	// predicate); PathScan forces the refutation scan.
-	PathPLI   = "pli"
+	// PathAuto lets the greedy cost-ordered planner choose per DC.
+	PathAuto = "auto"
+	// PathScan forces the refutation scan, the reference every other
+	// shape must agree with.
+	PathScan = "scan"
+	// PathPLI reports a cluster-intersection join (equality or
+	// cross-column equality driver).
+	PathPLI = "pli"
+	// PathRange reports a sorted-rank range probe.
 	PathRange = "range"
-	PathScan  = "scan"
-	// PathBinary is the historical two-way choice (join iff its
-	// candidate pairs, scaled by pliAdvantage, undercut the full scan;
-	// no range shape) — kept selectable so planner wins stay measurable
-	// against it.
-	PathBinary = "binary"
 )
+
+// ErrInvalidOption marks a rejected check, validation, or mining
+// parameter; test for it with errors.Is.
+var ErrInvalidOption = errors.New("invalid option")
 
 // pliAdvantage is the cost-heuristic margin: the PLI path is chosen when
 // its candidate pairs, scaled by this factor (its per-pair overhead over
@@ -77,12 +79,9 @@ const pliAdvantage = 2
 // path per DC, uses GOMAXPROCS workers, and records every violating
 // pair.
 type Options struct {
-	// Path forces an execution path: "auto"/"planner" (default; per-DC
-	// greedy planner), "pli", "range", "scan", or "binary" (the
-	// historical two-way heuristic). Forcing "pli" on a DC with no
-	// equality predicate, or "range" without an order predicate over
-	// numeric columns, falls back to the scan (reported in
-	// DCResult.Path).
+	// Path is "auto" (default; the per-DC greedy planner) or "scan"
+	// (force the refutation scan). DCResult.Path reports the shape
+	// that ran.
 	Path string
 	// Workers is the number of goroutines per DC; 0 means GOMAXPROCS.
 	Workers int
@@ -92,6 +91,10 @@ type Options struct {
 	// all. Violation counts, tuple counts, and losses are always exact
 	// regardless of the cap.
 	MaxPairs int
+
+	// force, when set, replaces the planner's shape choice. Only the
+	// package tests set it, to run a shape the planner would not pick.
+	force func(cache *pliCache, p *dcPlan, n int) *queryPlan
 }
 
 func (o Options) validate() error {
@@ -99,13 +102,13 @@ func (o Options) validate() error {
 		// A negative cap would slip past both branches of collector.add
 		// (neither "uncapped" nor ever reaching the cap) and silently
 		// degrade to an unbounded sorted-insertion pair list.
-		return fmt.Errorf("violation: negative MaxPairs %d (use 0 to keep all pairs)", o.MaxPairs)
+		return fmt.Errorf("violation: %w: negative MaxPairs %d (use 0 to keep all pairs)", ErrInvalidOption, o.MaxPairs)
 	}
 	switch o.Path {
-	case "", PathAuto, PathPlanner, PathPLI, PathRange, PathScan, PathBinary:
+	case "", PathAuto, PathScan:
 		return nil
 	}
-	return fmt.Errorf("violation: unknown path %q (want auto, planner, pli, range, scan, or binary)", o.Path)
+	return fmt.Errorf("violation: %w: unknown path %q (want auto or scan)", ErrInvalidOption, o.Path)
 }
 
 // DCResult is the violation report of one denial constraint.
@@ -287,8 +290,8 @@ func Validate(rel *dataset.Relation, specs []predicate.DCSpec, approxName string
 // avoiding a second pair enumeration: losses under every function are
 // part of each DCResult.
 func (r *Report) Validations(approxName string, eps float64) ([]Validation, error) {
-	if eps < 0 {
-		return nil, fmt.Errorf("violation: negative epsilon %v", eps)
+	if math.IsNaN(eps) || math.IsInf(eps, 0) || eps < 0 {
+		return nil, fmt.Errorf("violation: %w: epsilon %v is not a finite number ≥ 0", ErrInvalidOption, eps)
 	}
 	pick, err := lossPicker(approxName)
 	if err != nil {
@@ -317,7 +320,7 @@ func lossPicker(name string) (func(DCResult) float64, error) {
 	case "f3", "f3-greedy":
 		return func(r DCResult) float64 { return r.LossF3 }, nil
 	}
-	return nil, fmt.Errorf("violation: unknown approximation function %q (want f1, f2, or f3)", name)
+	return nil, fmt.Errorf("violation: %w: unknown approximation function %q (want f1, f2, or f3)", ErrInvalidOption, name)
 }
 
 // RepairResult is a greedy repair: the tuples whose deletion satisfies

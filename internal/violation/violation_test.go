@@ -1,6 +1,7 @@
 package violation
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -64,7 +65,7 @@ func TestRunningExample(t *testing.T) {
 	const totalPairs = n * (n - 1)
 	for _, tc := range cases {
 		for _, path := range []string{PathAuto, PathPLI, PathScan} {
-			rep, err := Check(rel, []predicate.DCSpec{tc.spec}, Options{Path: path})
+			rep, err := Check(rel, []predicate.DCSpec{tc.spec}, forced(path, Options{}))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tc.name, path, err)
 			}
@@ -120,7 +121,7 @@ func TestLossesMatchApprox(t *testing.T) {
 		t.Fatal(err)
 	}
 	space := predicate.Build(rel, predicate.DefaultOptions())
-	ev, err := (evidence.FastBuilder{}).Build(space, true)
+	ev, err := (evidence.AutoBuilder{}).Build(space, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +179,12 @@ func TestValidate(t *testing.T) {
 	if _, err := Validate(rel, specs, "f9", 0.1, Options{}); err == nil {
 		t.Error("unknown approximation function accepted")
 	}
-	if _, err := Validate(rel, specs, "f1", -1, Options{}); err == nil {
-		t.Error("negative epsilon accepted")
+	// NaN compares false against every loss, so without the check a
+	// clean DC would fail.
+	for _, eps := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := Validate(rel, specs, "f1", eps, Options{}); !errors.Is(err, ErrInvalidOption) {
+			t.Errorf("epsilon %v: err = %v, want ErrInvalidOption", eps, err)
+		}
 	}
 }
 
@@ -218,7 +223,7 @@ func TestSingleTupleDC(t *testing.T) {
 	spec := predicate.DCSpec{{A: "High", B: "Low", Op: predicate.Lt, Cross: false}}
 	want := [][2]int{{2, 0}, {2, 1}, {2, 3}}
 	for _, path := range []string{PathPLI, PathScan} {
-		rep, err := Check(rel, []predicate.DCSpec{spec}, Options{Path: path})
+		rep, err := Check(rel, []predicate.DCSpec{spec}, forced(path, Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +254,7 @@ func TestCrossColumnEqualityJoin(t *testing.T) {
 	// (0,1): X u=u equal, no. (0,3): u != w → violation. (1,0): u=u, no.
 	want := [][2]int{{0, 3}}
 	for _, path := range []string{PathAuto, PathPLI, PathScan} {
-		rep, err := Check(rel, []predicate.DCSpec{spec}, Options{Path: path})
+		rep, err := Check(rel, []predicate.DCSpec{spec}, forced(path, Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +263,7 @@ func TestCrossColumnEqualityJoin(t *testing.T) {
 		}
 	}
 	// Forced PLI must actually use the cross-column join.
-	rep, err := Check(rel, []predicate.DCSpec{spec}, Options{Path: PathPLI})
+	rep, err := Check(rel, []predicate.DCSpec{spec}, forced(PathPLI, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,6 +299,13 @@ func TestCheckErrors(t *testing.T) {
 		{"cross-kind comparison", predicate.DCSpec{{A: "Name", B: "Zip", Op: predicate.Eq, Cross: true}}, Options{}},
 		{"empty DC", predicate.DCSpec{}, Options{}},
 		{"bad path", predicate.DCSpec{{A: "Zip", B: "Zip", Op: predicate.Eq, Cross: true}}, Options{Path: "gpu"}},
+	}
+	// Shape names are results, not inputs: only auto and scan select.
+	for _, path := range []string{"planner", PathPLI, PathRange, "binary"} {
+		_, err := Check(rel, []predicate.DCSpec{{{A: "Zip", B: "Zip", Op: predicate.Eq, Cross: true}}}, Options{Path: path})
+		if !errors.Is(err, ErrInvalidOption) {
+			t.Errorf("path %q: err = %v, want ErrInvalidOption", path, err)
+		}
 	}
 	for _, tc := range cases {
 		if _, err := Check(rel, []predicate.DCSpec{tc.spec}, tc.opts); err == nil {
