@@ -20,10 +20,13 @@
 // paper: "f1" scores the fraction of violating tuple pairs, "f2" the
 // fraction of tuples involved in violations, and "f3" the fraction of
 // tuples a greedy repair removes (Figure 2's stand-in for the NP-hard
-// cardinality repair). Custom functions implement ApproxFunc and must
-// satisfy the validity axioms (monotonicity and indifference to
-// redundancy, Definitions 4.1–4.3), which the internal/approx tests
-// property-check on the built-in functions.
+// cardinality repair). Custom functions implement ApproxFunc: Loss
+// scores a DC from its ApproxTally (violating pairs, total pairs, rows,
+// and per-tuple participation), the same input the built-in functions
+// read in the miner and the checker. They must satisfy the validity
+// axioms (monotonicity and indifference to redundancy, Definitions
+// 4.1–4.3), which the internal/approx tests property-check on the
+// built-in functions.
 //
 // Beyond mining, the package covers the other half of the cleaning
 // story: applying constraints back to data. Violations enumerates the
@@ -87,10 +90,6 @@ type (
 	// PredicateOptions configures predicate-space generation (the 30%
 	// common-values rule, single-tuple and cross-column predicates).
 	PredicateOptions = predicate.Options
-	// IngestOptions tunes the streaming chunk-parallel CSV reader
-	// (worker count and chunk size); the parsed relation is identical
-	// for every setting.
-	IngestOptions = dataset.IngestOptions
 	// PredicateSpace is the generated predicate space P_R.
 	PredicateSpace = predicate.Space
 	// EvidenceSet is the evidence set Evi(D) with multiplicities.
@@ -98,6 +97,9 @@ type (
 	// ApproxFunc is the approximation-function interface of Section 5;
 	// implement it to supply custom ADC semantics.
 	ApproxFunc = approx.Func
+	// ApproxTally is the violation tally of one DC that ApproxFunc.Loss
+	// scores.
+	ApproxTally = approx.Tally
 )
 
 // Comparison operators, re-exported.
@@ -118,11 +120,7 @@ var (
 	NewFloatColumn  = dataset.NewFloatColumn
 	ReadCSV         = dataset.ReadCSV
 	ReadCSVFile     = dataset.ReadCSVFile
-	// ReadCSVOptions and ReadCSVFileOptions expose the streaming
-	// reader's IngestOptions (ReadCSV/ReadCSVFile use the defaults).
-	ReadCSVOptions     = dataset.ReadCSVOptions
-	ReadCSVFileOptions = dataset.ReadCSVFileOptions
-	ParseOperator      = predicate.ParseOperator
+	ParseOperator   = predicate.ParseOperator
 	// BuildPredicateSpace generates P_R for a relation.
 	BuildPredicateSpace = predicate.Build
 	// DefaultPredicateOptions mirrors the paper's setup.

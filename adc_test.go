@@ -54,6 +54,40 @@ func TestMineAllApproxFunctions(t *testing.T) {
 	}
 }
 
+// involvedShare is f2 written against the re-exported ApproxTally, the
+// way code outside the module supplies custom semantics.
+type involvedShare struct{}
+
+func (involvedShare) Name() string    { return "involved-share" }
+func (involvedShare) NeedsVios() bool { return true }
+func (involvedShare) Loss(t *adc.ApproxTally) float64 {
+	if t.Rows == 0 {
+		return 0
+	}
+	return float64(t.Involved) / float64(t.Rows)
+}
+
+func TestMineCustomApproxFunc(t *testing.T) {
+	rel := datagen.RunningExample()
+	want, err := adc.Mine(rel, adc.Options{Approx: "f2", Epsilon: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := adc.Mine(rel, adc.Options{Func: involvedShare{}, Epsilon: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kw, kg := metrics.KeySet(want.DCs), metrics.KeySet(got.DCs)
+	if len(kg) == 0 || len(kg) != len(kw) {
+		t.Fatalf("custom f2 mined %d DCs, built-in f2 %d", len(kg), len(kw))
+	}
+	for k := range kw {
+		if !kg[k] {
+			t.Fatalf("custom f2 missed %s", k)
+		}
+	}
+}
+
 func TestMineAlgorithmsAgree(t *testing.T) {
 	rel := datagen.RunningExample()
 	a, err := adc.Mine(rel, adc.Options{Epsilon: 0.02, Algorithm: "adcenum"})

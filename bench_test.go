@@ -382,9 +382,10 @@ func BenchmarkGreedyF3Loss(b *testing.B) {
 		uncovered[i] = i
 	}
 	f := approx.GreedyF3{}
+	tally := approx.TallyOf(ev, uncovered)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f.Loss(ev, uncovered)
+		f.Loss(tally)
 	}
 }
 

@@ -42,8 +42,6 @@ func run() int {
 		workers   = flag.Int("workers", 0, "enumeration workers for adcenum (0 = auto, 1 = sequential)")
 		maxPreds  = flag.Int("max-preds", 0, "maximum predicates per DC (0 = unbounded)")
 		seed      = flag.Int64("seed", 1, "sampling seed")
-		ingestW   = flag.Int("ingest-workers", 0, "CSV ingest parse workers (0 = GOMAXPROCS)")
-		chunkRows = flag.Int("chunk-rows", 0, "CSV ingest rows per parse chunk (0 = default)")
 		top       = flag.Int("top", 0, "print only the first N DCs (0 = all)")
 		ranked    = flag.Bool("rank", false, "order by FASTDC interestingness instead of length")
 		stats     = flag.Bool("stats", true, "print run statistics")
@@ -98,8 +96,7 @@ func run() int {
 		// mapped file and page in on first touch.
 		rel, indexes, err = adc.AttachSnapshot(*loadSnap)
 	} else {
-		rel, err = adc.ReadCSVFileOptions(*input, *header,
-			adc.IngestOptions{Workers: *ingestW, ChunkRows: *chunkRows})
+		rel, err = adc.ReadCSVFile(*input, *header)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "adcminer:", err)

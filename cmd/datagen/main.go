@@ -9,12 +9,11 @@
 //	datagen -dataset adult -rows 100000 -verify > adult.csv
 //
 // With -verify the emitted CSV is simultaneously fed through the
-// streaming ingest reader (adc.ReadCSVOptions, tuned by -ingest-workers
-// and -chunk-rows) and the parsed relation is checked against the
-// generated one — shape, column types, and row rendering — so type
-// flips introduced by CSV round-tripping (for example a float column
-// whose sampled values all happen to print as integers) are caught at
-// generation time instead of at mine time.
+// streaming ingest reader (adc.ReadCSV) and the parsed relation is
+// checked against the generated one — shape, column types, and row
+// rendering — so type flips introduced by CSV round-tripping (for
+// example a float column whose sampled values all happen to print as
+// integers) are caught at generation time instead of at mine time.
 package main
 
 import (
@@ -31,15 +30,13 @@ import (
 
 func main() {
 	var (
-		name    = flag.String("dataset", "tax", "dataset: "+strings.Join(datagen.Names(), ", "))
-		rows    = flag.Int("rows", 1000, "number of rows to generate")
-		seed    = flag.Int64("seed", 1, "generation seed")
-		noise   = flag.String("noise", "none", "noise model: none, spread, or skewed")
-		rate    = flag.Float64("rate", 0.001, "noise rate (cell probability or tuple fraction)")
-		golden  = flag.Bool("golden", false, "print the golden DCs instead of data")
-		verify  = flag.Bool("verify", false, "stream the emitted CSV back through the ingest reader and check the round trip")
-		ingestW = flag.Int("ingest-workers", 0, "ingest parse workers for -verify (0 = GOMAXPROCS)")
-		chunk   = flag.Int("chunk-rows", 0, "ingest rows per parse chunk for -verify (0 = default)")
+		name   = flag.String("dataset", "tax", "dataset: "+strings.Join(datagen.Names(), ", "))
+		rows   = flag.Int("rows", 1000, "number of rows to generate")
+		seed   = flag.Int64("seed", 1, "generation seed")
+		noise  = flag.String("noise", "none", "noise model: none, spread, or skewed")
+		rate   = flag.Float64("rate", 0.001, "noise rate (cell probability or tuple fraction)")
+		golden = flag.Bool("golden", false, "print the golden DCs instead of data")
+		verify = flag.Bool("verify", false, "stream the emitted CSV back through the ingest reader and check the round trip")
 	)
 	flag.Parse()
 
@@ -76,9 +73,8 @@ func main() {
 		pr, pw = io.Pipe()
 		out = io.MultiWriter(os.Stdout, pw)
 		parsed = make(chan parseResult, 1)
-		opt := adc.IngestOptions{Workers: *ingestW, ChunkRows: *chunk}
 		go func() {
-			back, err := adc.ReadCSVOptions(pr, rel.Name, true, opt)
+			back, err := adc.ReadCSV(pr, rel.Name, true)
 			pr.CloseWithError(err) // unblock the writer if parsing fails early
 			parsed <- parseResult{back, err}
 		}()

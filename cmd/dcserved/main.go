@@ -49,7 +49,6 @@ import (
 	"os"
 	"time"
 
-	"adc"
 	"adc/internal/server"
 	"adc/internal/sigctx"
 )
@@ -62,8 +61,6 @@ func main() {
 		maxBodyMB   = flag.Int64("max-body-mb", 64, "max request body size in MiB")
 		grace       = flag.Duration("shutdown-grace", 10*time.Second, "graceful shutdown timeout")
 		pprofOn     = flag.Bool("pprof", false, "serve /debug/pprof/ profiling endpoints (do not expose publicly)")
-		ingWorkers  = flag.Int("ingest-workers", 0, "CSV ingest parse workers (0 = GOMAXPROCS)")
-		chunkRows   = flag.Int("chunk-rows", 0, "CSV ingest rows per parse chunk (0 = default)")
 		dataDir     = flag.String("data-dir", "", "persistent session storage directory: sessions snapshot here, acked appends land in a per-session WAL, evictions spill to disk, restarts resume (empty = in-memory only)")
 		walSync     = flag.Bool("wal-sync", true, "fsync every WAL record before acking its append; false survives process crashes but not power loss")
 		snapEvery   = flag.Int("snapshot-every", 64, "WAL records accumulated before an append triggers a compacting snapshot")
@@ -74,7 +71,6 @@ func main() {
 		MaxDatasets:   *maxDatasets,
 		MaxMemBytes:   *maxMemMB << 20,
 		MaxBodyBytes:  *maxBodyMB << 20,
-		Ingest:        adc.IngestOptions{Workers: *ingWorkers, ChunkRows: *chunkRows},
 		DataDir:       *dataDir,
 		WALNoSync:     !*walSync,
 		SnapshotEvery: *snapEvery,

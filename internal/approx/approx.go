@@ -10,33 +10,58 @@
 // the loss is at most ε (Definition 4.4).
 //
 // Because the miner identifies a DC ϕ with the hitting set Ŝϕ of the
-// evidence set, the loss of every function here is computed from the
-// multiset of *uncovered* distinct evidence sets — the violating tuple
+// evidence set, the loss of every function here is computed from a
+// Tally of the *uncovered* distinct evidence sets — the violating tuple
 // pairs. This makes indifference to redundancy structural: two DCs
-// violated by the same pairs present identical inputs to Loss.
+// violated by the same pairs present identical tallies to Loss. The
+// enumerators (packages hitset and searchmc) and the checker (package
+// violation) all score DCs through Func.Loss, so each function has one
+// body.
 package approx
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"adc/internal/bitset"
 	"adc/internal/evidence"
 )
 
+// Tally is the violation tally of one DC: what its violating tuple
+// pairs add up to. Every Func scores a DC from its tally alone, so two
+// DCs violated by the same pairs receive the same score — indifference
+// to redundancy (Definition 4.2) is structural.
+//
+// TallyOf builds a tally from scratch; the enumerators keep one live
+// tally and move distinct evidence sets in and out of it as they are
+// uncovered and covered.
+type Tally struct {
+	// Pairs is the number of violating ordered tuple pairs.
+	Pairs int64
+	// TotalPairs is |D|·(|D|−1), the number of ordered pairs.
+	TotalPairs int64
+	// Rows is |D|.
+	Rows int
+	// Involved is the number of tuples t with PerTuple[t] > 0.
+	Involved int
+	// PerTuple[t] is the number of violating pairs tuple t takes part
+	// in, summed over the violating evidence sets' vios (Figure 2). It
+	// is nil when the evidence set was built without vios.
+	PerTuple []int64
+}
+
 // Func is a valid approximation function, presented as a loss.
-// Loss returns 1 − f(D, Sϕ) for the DC whose violating distinct
-// evidence sets are uncovered (indexes into ev). Implementations must be
-// monotone: a sub-multiset of uncovered sets must never produce a larger
-// loss.
+// Implementations must be monotone: the tally of a sub-multiset of the
+// violating pairs must never produce a larger loss.
 type Func interface {
 	// Name identifies the function ("f1", "f2", "f3-greedy", ...).
 	Name() string
-	// Loss returns 1 − f(D, Sϕ) ∈ [0, 1].
-	Loss(ev *evidence.Set, uncovered []int) float64
-	// NeedsVios reports whether the function consumes per-tuple
-	// violation counts (the vios structure of Figure 2).
+	// Loss returns 1 − f(D, Sϕ) ∈ [0, 1] for the DC with tally t. It
+	// must not modify t: the enumerators pass their live tally.
+	Loss(t *Tally) float64
+	// NeedsVios reports whether the function reads t.PerTuple, which
+	// needs an evidence set built with vios.
 	NeedsVios() bool
 }
 
@@ -51,14 +76,37 @@ func ForName(name string) (Func, error) {
 	case "f3", "f3-greedy":
 		return GreedyF3{}, nil
 	}
-	return nil, fmt.Errorf("approx: unknown approximation function %q", name)
+	return nil, fmt.Errorf("approx: unknown approximation function %q (want f1, f2, or f3)", name)
+}
+
+// TallyOf builds the tally of the DC whose violating distinct evidence
+// sets are uncovered (indexes into ev). PerTuple is filled when ev has
+// vios.
+func TallyOf(ev *evidence.Set, uncovered []int) *Tally {
+	t := &Tally{TotalPairs: ev.TotalPairs, Rows: ev.NumRows}
+	if ev.HasVios() {
+		t.PerTuple = make([]int64, ev.NumRows)
+	}
+	for _, k := range uncovered {
+		t.Pairs += ev.Counts[k]
+		if t.PerTuple == nil {
+			continue
+		}
+		for tup, c := range ev.Vios[k] {
+			if t.PerTuple[tup] == 0 {
+				t.Involved++
+			}
+			t.PerTuple[tup] += c
+		}
+	}
+	return t
 }
 
 // LossOfHittingSet evaluates f's loss for the DC whose complement
 // predicates are hs. Convenience for tests and one-off scoring; the
-// enumerator maintains the uncovered list incrementally instead.
+// enumerators maintain their tally incrementally instead.
 func LossOfHittingSet(f Func, ev *evidence.Set, hs bitset.Bits) float64 {
-	return f.Loss(ev, ev.Uncovered(hs))
+	return f.Loss(TallyOf(ev, ev.Uncovered(hs)))
 }
 
 // F1 is the pair-based function of Kivinen and Mannila's g1, used by
@@ -76,15 +124,11 @@ func (F1) Name() string { return "f1" }
 func (F1) NeedsVios() bool { return false }
 
 // Loss implements Func.
-func (F1) Loss(ev *evidence.Set, uncovered []int) float64 {
-	if ev.TotalPairs == 0 {
+func (F1) Loss(t *Tally) float64 {
+	if t.TotalPairs == 0 {
 		return 0
 	}
-	var viol int64
-	for _, k := range uncovered {
-		viol += ev.Counts[k]
-	}
-	return float64(viol) / float64(ev.TotalPairs)
+	return float64(t.Pairs) / float64(t.TotalPairs)
 }
 
 // F2 is the tuple-based function of Kivinen and Mannila's g2:
@@ -102,18 +146,12 @@ func (F2) Name() string { return "f2" }
 func (F2) NeedsVios() bool { return true }
 
 // Loss implements Func.
-func (F2) Loss(ev *evidence.Set, uncovered []int) float64 {
-	if ev.NumRows == 0 {
+func (F2) Loss(t *Tally) float64 {
+	if t.Rows == 0 {
 		return 0
 	}
-	mustVios(ev, "f2")
-	involved := make(map[int32]struct{})
-	for _, k := range uncovered {
-		for t := range ev.Vios[k] {
-			involved[t] = struct{}{}
-		}
-	}
-	return float64(len(involved)) / float64(ev.NumRows)
+	mustVios(t, "f2")
+	return float64(t.Involved) / float64(t.Rows)
 }
 
 // GreedyF3 is the algorithm of Figure 2, standing in for the NP-hard
@@ -132,50 +170,34 @@ func (GreedyF3) Name() string { return "f3-greedy" }
 func (GreedyF3) NeedsVios() bool { return true }
 
 // Loss implements Func.
-func (GreedyF3) Loss(ev *evidence.Set, uncovered []int) float64 {
-	if ev.NumRows == 0 {
+func (GreedyF3) Loss(t *Tally) float64 {
+	if t.Rows == 0 {
 		return 0
 	}
-	mustVios(ev, "f3")
+	mustVios(t, "f3")
+	if t.Pairs == 0 {
+		return 0
+	}
 	// SortTuples of Figure 2: v(t) = total participation of t in
-	// violations of the candidate DC; u = total violating pairs.
-	var u int64
-	v := make(map[int32]int64)
-	for _, k := range uncovered {
-		u += ev.Counts[k]
-		for t, c := range ev.Vios[k] {
-			v[t] += c
+	// violations of the candidate DC. The number of tuples taken depends
+	// only on the multiset of participations, so ties need no order.
+	order := make([]int64, 0, t.Involved)
+	for _, v := range t.PerTuple {
+		if v > 0 {
+			order = append(order, v)
 		}
 	}
-	if u == 0 {
-		return 0
-	}
-	type tv struct {
-		t int32
-		v int64
-	}
-	order := make([]tv, 0, len(v))
-	for t, c := range v {
-		order = append(order, tv{t, c})
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].v != order[b].v {
-			return order[a].v > order[b].v
-		}
-		return order[a].t < order[b].t // deterministic tie-break
-	})
-	// Greedy selection: covered count may exceed u because a violation
-	// between two selected tuples is counted twice (see paper, Section 5).
+	slices.Sort(order)
+	// Greedy selection, largest participation first: the covered count
+	// may exceed Pairs because a violation between two selected tuples
+	// is counted twice (see paper, Section 5).
 	var covered int64
 	removed := 0
-	for _, e := range order {
-		if covered >= u {
-			break
-		}
-		covered += e.v
+	for i := len(order) - 1; i >= 0 && covered < t.Pairs; i-- {
+		covered += order[i]
 		removed++
 	}
-	return float64(removed) / float64(ev.NumRows)
+	return float64(removed) / float64(t.Rows)
 }
 
 // F1Adjusted is the sample-side function f1′ of Section 7.2:
@@ -200,9 +222,9 @@ func (F1Adjusted) NeedsVios() bool { return false }
 
 // Loss implements Func. Loss = 1 − f1′ = p̂ + z·sqrt(p̂(1−p̂)/n),
 // clamped to [0, 1].
-func (a F1Adjusted) Loss(ev *evidence.Set, uncovered []int) float64 {
-	p := F1{}.Loss(ev, uncovered)
-	n := float64(ev.TotalPairs)
+func (a F1Adjusted) Loss(t *Tally) float64 {
+	p := F1{}.Loss(t)
+	n := float64(t.TotalPairs)
 	if n == 0 {
 		return 0
 	}
@@ -216,8 +238,8 @@ func (a F1Adjusted) Loss(ev *evidence.Set, uncovered []int) float64 {
 	return loss
 }
 
-func mustVios(ev *evidence.Set, fn string) {
-	if !ev.HasVios() {
+func mustVios(t *Tally, fn string) {
+	if t.PerTuple == nil {
 		panic("approx: " + fn + " requires an evidence set built with vios (per-tuple violation counts)")
 	}
 }

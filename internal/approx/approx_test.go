@@ -155,7 +155,7 @@ func TestViosPanicMessage(t *testing.T) {
 			t.Fatalf("unhelpful panic: %v", r)
 		}
 	}()
-	approx.F2{}.Loss(ev, ev.Uncovered(nil))
+	approx.F2{}.Loss(approx.TallyOf(ev, ev.Uncovered(nil)))
 }
 
 func TestMonotonicityAxiom(t *testing.T) {

@@ -10,9 +10,9 @@ import (
 
 // The checkers in this file verify the two axioms of a valid
 // approximation function (Definitions 4.1 and 4.2) on concrete evidence
-// sets. They are exported so that property-based tests — both ours and a
-// downstream user's, for a custom Func — can exercise the axioms on
-// their own data.
+// sets, scoring each DC through the tally TallyOf builds from scratch.
+// The property tests in approx_test.go run them on the built-in
+// functions.
 
 // CheckMonotonic verifies Definition 4.1 (monotonicity) on random
 // chains of DCs: for hitting sets X ⊂ X′ (i.e. Sϕ ⊂ Sϕ′), the loss must
@@ -26,8 +26,8 @@ func CheckMonotonic(f Func, ev *evidence.Set, trials int, rng *rand.Rand) error 
 		for k := 1 + rng.Intn(3); k > 0; k-- {
 			xp.Set(rng.Intn(p))
 		}
-		lx := f.Loss(ev, ev.Uncovered(x))
-		lxp := f.Loss(ev, ev.Uncovered(xp))
+		lx := f.Loss(TallyOf(ev, ev.Uncovered(x)))
+		lxp := f.Loss(TallyOf(ev, ev.Uncovered(xp)))
 		if lxp > lx+1e-12 {
 			return fmt.Errorf("approx: %s not monotonic: loss(%v) = %v < loss(%v) = %v",
 				f.Name(), x, lx, xp, lxp)
@@ -70,8 +70,8 @@ func CheckIndifference(f Func, ev *evidence.Set, trials int, rng *rand.Rand) err
 		}
 		xp := x.Clone()
 		xp.Set(redundant)
-		lx := f.Loss(ev, unc)
-		lxp := f.Loss(ev, ev.Uncovered(xp))
+		lx := f.Loss(TallyOf(ev, unc))
+		lxp := f.Loss(TallyOf(ev, ev.Uncovered(xp)))
 		if lx != lxp {
 			return fmt.Errorf("approx: %s not indifferent to redundancy: %v vs %v",
 				f.Name(), lx, lxp)
@@ -88,9 +88,9 @@ func CheckProp53(ev *evidence.Set, trials int, rng *rand.Rand) error {
 	p := ev.Space.Size()
 	for trial := 0; trial < trials; trial++ {
 		x := randomBits(rng, p, 1+rng.Intn(4))
-		unc := ev.Uncovered(x)
-		l1 := F1{}.Loss(ev, unc)
-		l2 := F2{}.Loss(ev, unc)
+		tally := TallyOf(ev, ev.Uncovered(x))
+		l1 := F1{}.Loss(tally)
+		l2 := F2{}.Loss(tally)
 		if l1 > 2*l2+1e-12 {
 			return fmt.Errorf("approx: Prop 5.3 violated: loss f1 = %v > 2 · loss f2 = %v", l1, 2*l2)
 		}

@@ -61,12 +61,6 @@ type Options struct {
 	// Uno suggest. The default (false) picks the maximum intersection,
 	// the paper's improvement evaluated in Figure 10.
 	ChooseMinIntersection bool
-	// KeepOperatorVariants retains predicates over the same attribute
-	// pair as a chosen predicate in the candidate list. The default
-	// (false) removes them, as in Section 6.2, avoiding trivial DCs like
-	// not(t.A < t'.A and t.A >= t'.A). Ignored when the evidence set has
-	// no predicate space.
-	KeepOperatorVariants bool
 	// MaxPredicates bounds the hitting-set size (DC length); 0 means
 	// unbounded.
 	MaxPredicates int
@@ -149,15 +143,14 @@ type state struct {
 	universe int
 	sets     []bitset.Bits
 
-	uncov       []int       // indexes of sets not yet hit by S
-	uncovPos    []int       // position of set k in uncov, or -1
-	uncovBits   bitset.Bits // same membership as uncov, for canonical scans
-	uncovWeight int64       // sum of multiplicities over uncov
-	canHit      []bool
-	crit        [][]int // crit[e]: sets for which e is critical
-	cand        bitset.Bits
-	s           []int       // the growing hitting set S
-	sBits       bitset.Bits // same as s, as a bitset
+	uncov     []int       // indexes of sets not yet hit by S
+	uncovPos  []int       // position of set k in uncov, or -1
+	uncovBits bitset.Bits // same membership as uncov, for canonical scans
+	canHit    []bool
+	crit      [][]int // crit[e]: sets for which e is critical
+	cand      bitset.Bits
+	s         []int       // the growing hitting set S
+	sBits     bitset.Bits // same as s, as a bitset
 
 	// occ[e] lists the distinct sets containing element e, so that
 	// adding an element touches only its own occurrences instead of
@@ -176,21 +169,15 @@ type state struct {
 	// candidate loop to avoid per-call allocation.
 	logs []addLog
 
-	// eval evaluates losses of explicit uncovered-set lists; the
-	// fast-path flags below mirror its, for the incremental variants.
-	eval *Evaluator
-	// vioCount/nonzero maintain per-tuple violation participation over
-	// uncov incrementally as sets move in and out (the bookkeeping idea
-	// the paper applies to f1 in Section 5), so F2/greedy-F3 losses
-	// avoid rescanning every uncovered set's vios.
-	vioCount []int64
-	nonzero  int // tuples with vioCount > 0
-	// merged is the reusable uncov+extra buffer of the generic loss path.
-	merged []int
+	// eval moves sets in and out of tallies. tally is the live tally
+	// of uncov, updated as sets are covered and uncovered (the
+	// bookkeeping the paper applies to f1 in Section 5), so a loss never
+	// rescans the uncovered sets. unhittable is willCover's reusable
+	// list.
+	eval       *Evaluator
+	tally      approx.Tally
+	unhittable []int
 
-	// sink, when set, receives outputs instead of emit — the parallel
-	// enumerator routes covers through its shared intern (parallel.go).
-	sink func(*state)
 	// offload, when set, is consulted before every recursive descent
 	// with the child's move; returning true means the child subtree was
 	// handed to another worker (or the frontier queue) and must not be
@@ -224,11 +211,12 @@ func newState(ev *evidence.Set, opts Options) *state {
 		critPos:   make([]int32, len(ev.Sets)),
 		eval:      NewEvaluator(ev, opts.Func),
 	}
+	st.tally = st.eval.newTally()
 	for k := range ev.Sets {
 		st.uncov = append(st.uncov, k)
 		st.uncovPos[k] = k
 		st.uncovBits.Set(k)
-		st.uncovWeight += ev.Counts[k]
+		st.eval.add(&st.tally, k)
 		st.canHit[k] = true
 		st.critFor[k] = -1
 		ev.Sets[k].ForEach(func(e int) {
@@ -237,17 +225,6 @@ func newState(ev *evidence.Set, opts Options) *state {
 	}
 	for e := 0; e < universe; e++ {
 		st.cand.Set(e)
-	}
-	if st.eval.fastTuple {
-		st.vioCount = make([]int64, ev.NumRows)
-		for k := range ev.Sets {
-			for _, tc := range st.eval.viosList[k] {
-				if st.vioCount[tc.t] == 0 {
-					st.nonzero++
-				}
-				st.vioCount[tc.t] += tc.c
-			}
-		}
 	}
 	return st
 }
@@ -276,30 +253,14 @@ func (st *state) uncovRemove(k int) {
 	st.uncov = st.uncov[:last]
 	st.uncovPos[k] = -1
 	st.uncovBits.Clear(k)
-	st.uncovWeight -= st.ev.Counts[k]
-	if st.eval.fastTuple {
-		for _, tc := range st.eval.viosList[k] {
-			st.vioCount[tc.t] -= tc.c
-			if st.vioCount[tc.t] == 0 {
-				st.nonzero--
-			}
-		}
-	}
+	st.eval.remove(&st.tally, k)
 }
 
 func (st *state) uncovAdd(k int) {
 	st.uncovPos[k] = len(st.uncov)
 	st.uncov = append(st.uncov, k)
 	st.uncovBits.Set(k)
-	st.uncovWeight += st.ev.Counts[k]
-	if st.eval.fastTuple {
-		for _, tc := range st.eval.viosList[k] {
-			if st.vioCount[tc.t] == 0 {
-				st.nonzero++
-			}
-			st.vioCount[tc.t] += tc.c
-		}
-	}
+	st.eval.add(&st.tally, k)
 }
 
 // critChange records the removal of set f from crit[u].
@@ -521,13 +482,8 @@ func (st *state) pop(e int) {
 }
 
 // emitCover reports the current S as an output. Serial runs go straight
-// to the user callback; parallel workers route through the pool's shared
-// intern, which collapses duplicate covers and serializes emit.
+// to the user callback; parallel workers' emit is the pool's serialEmit.
 func (st *state) emitCover() {
-	if st.sink != nil {
-		st.sink(st)
-		return
-	}
 	st.stats.Outputs++
 	st.emit(st.sBits)
 }
@@ -535,80 +491,11 @@ func (st *state) emitCover() {
 // ---- ADCEnum (Figures 4 and 5) -------------------------------------------
 
 // loss evaluates 1 − f(D, S′) for the DC whose uncovered sets are the
-// current uncov plus extra. Pair-counting functions use the maintained
-// uncovWeight and run in O(|extra|).
+// current uncov plus the (disjoint) extra sets: the extra sets join the
+// live tally for the evaluation and leave it again.
 func (st *state) loss(extra []int) float64 {
 	st.stats.LossEvals++
-	if st.eval.fastPair {
-		viol := st.uncovWeight
-		for _, k := range extra {
-			viol += st.ev.Counts[k]
-		}
-		return st.eval.pairLoss(viol)
-	}
-	if st.eval.fastTuple {
-		return st.tupleLoss(extra)
-	}
-	// Generic path: LossOf canonicalizes the order, so a custom Func
-	// sees inputs independent of the traversal history and serial and
-	// parallel runs cannot diverge.
-	st.merged = append(st.merged[:0], st.uncov...)
-	st.merged = append(st.merged, extra...)
-	return st.eval.LossOf(st.merged)
-}
-
-// tupleLoss computes the F2 or greedy-F3 loss for uncov plus the
-// (disjoint) extra sets from the maintained per-tuple counts, matching
-// approx.F2 / approx.GreedyF3 exactly. The extra deltas are staged in
-// the evaluator's scratch and rolled back through the touched list.
-func (st *state) tupleLoss(extra []int) float64 {
-	e := st.eval
-	n := st.ev.NumRows
-	var touched []int32
-	involved := st.nonzero
-	for _, k := range extra {
-		for _, tc := range e.viosList[k] {
-			if st.vioCount[tc.t]+e.scratch[tc.t] == 0 {
-				involved++
-			}
-			if e.scratch[tc.t] == 0 {
-				touched = append(touched, tc.t)
-			}
-			e.scratch[tc.t] += tc.c
-		}
-	}
-	var result float64
-	if !e.isF3 {
-		result = float64(involved) / float64(n)
-	} else {
-		result = st.greedyF3(extra)
-	}
-	for _, t := range touched {
-		e.scratch[t] = 0
-	}
-	return result
-}
-
-// greedyF3 is Figure 2's algorithm over the maintained counts: sort the
-// involved tuples by violation participation, take tuples until the
-// covered count reaches the total violating pairs, return |R|/|D|.
-// Assumes the evaluator's scratch already holds the extra deltas.
-func (st *state) greedyF3(extra []int) float64 {
-	e := st.eval
-	u := st.uncovWeight
-	for _, k := range extra {
-		u += st.ev.Counts[k]
-	}
-	if u == 0 {
-		return 0
-	}
-	e.order = e.order[:0]
-	for t := range st.vioCount {
-		if v := st.vioCount[t] + e.scratch[t]; v > 0 {
-			e.order = append(e.order, tupleCount{int32(t), v})
-		}
-	}
-	return float64(greedyRemovals(e.order, u)) / float64(st.ev.NumRows)
+	return st.eval.lossWith(&st.tally, extra)
 }
 
 // isMinimal is the subroutine of Figure 5: S is minimal iff no single
@@ -630,22 +517,13 @@ func (st *state) isMinimal() bool {
 // exceeds ε, monotonicity prunes the branch.
 func (st *state) willCover() bool {
 	st.stats.LossEvals++
-	if st.eval.fastPair {
-		var viol int64
-		for _, k := range st.uncov {
-			if !st.canHit[k] {
-				viol += st.ev.Counts[k]
-			}
-		}
-		return st.eval.pairLoss(viol) <= st.opts.Epsilon
-	}
-	var unhittable []int
+	st.unhittable = st.unhittable[:0]
 	for _, k := range st.uncov {
 		if !st.canHit[k] {
-			unhittable = append(unhittable, k)
+			st.unhittable = append(st.unhittable, k)
 		}
 	}
-	return st.eval.LossOf(unhittable) <= st.opts.Epsilon
+	return st.eval.LossOf(st.unhittable) <= st.opts.Epsilon
 }
 
 // updateCanHit is UpdateCanCover of Figure 5: mark every uncovered set
@@ -665,7 +543,7 @@ func (st *state) updateCanHit() []int {
 // removeOperatorVariants drops from cand all predicates that differ
 // from e only by operator (Section 6.2), returning the removed ones.
 func (st *state) removeOperatorVariants(e int) []int {
-	if st.ev.Space == nil || st.opts.KeepOperatorVariants {
+	if st.ev.Space == nil {
 		return nil
 	}
 	var removed []int

@@ -321,10 +321,10 @@ func TestF2AndGreedyF3Enumerate(t *testing.T) {
 }
 
 // bruteLossOf recomputes a hitting set's loss from scratch: scan every
-// distinct set for intersection, hand the uncovered indexes to the
-// approximation function's own generic implementation. It shares no
-// bookkeeping with the enumerator (no uncov/crit/canHit, no incremental
-// counters), so it is the independent checker of the properties below.
+// distinct set for intersection and score the tally approx.TallyOf
+// builds from the uncovered indexes. It shares no bookkeeping with the
+// enumerator (no uncov/crit/canHit, no live tally), so it is the
+// independent checker of the properties below.
 func bruteLossOf(f approx.Func, ev *evidence.Set, hs bitset.Bits) float64 {
 	var uncovered []int
 	for k, s := range ev.Sets {
@@ -332,7 +332,7 @@ func bruteLossOf(f approx.Func, ev *evidence.Set, hs bitset.Bits) float64 {
 			uncovered = append(uncovered, k)
 		}
 	}
-	return f.Loss(ev, uncovered)
+	return f.Loss(approx.TallyOf(ev, uncovered))
 }
 
 // TestEnumeratedCoversValidAndMinimal is the output-side property of

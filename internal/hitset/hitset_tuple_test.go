@@ -1,11 +1,10 @@
 package hitset_test
 
 // Tests for the tuple-based approximation functions inside ADCEnum.
-// The enumerator maintains per-tuple violation counts incrementally
-// (mirroring the paper's f1 bookkeeping); these tests pin that fast
-// path to the reference implementations in package approx via
-// brute-force enumeration over random weighted instances with
-// synthetic vios.
+// The enumerator maintains per-tuple violation counts in its live tally
+// (mirroring the paper's f1 bookkeeping); these tests pin that tally to
+// the from-scratch approx.TallyOf, directly and via brute-force
+// enumeration over random weighted instances with synthetic vios.
 
 import (
 	"math/rand"
@@ -76,7 +75,7 @@ func bruteMinimal(ev *evidence.Set, universe int, f approx.Func, eps float64) ma
 				b.Set(e)
 			}
 		}
-		if f.Loss(ev, ev.Uncovered(b)) <= eps {
+		if approx.LossOfHittingSet(f, ev, b) <= eps {
 			good = append(good, cand{b, b.Count()})
 		}
 	}
@@ -139,13 +138,13 @@ func TestADCEnumGreedyF3Soundness(t *testing.T) {
 		for _, eps := range []float64{0, 0.25, 0.5} {
 			hitset.EnumerateADC(ev, hitset.Options{Func: f, Epsilon: eps},
 				func(hs bitset.Bits) {
-					if l := f.Loss(ev, ev.Uncovered(hs)); l > eps+1e-12 {
+					if l := approx.LossOfHittingSet(f, ev, hs); l > eps+1e-12 {
 						t.Fatalf("trial %d eps %v: emitted loss %v", trial, eps, l)
 					}
 					hs.ForEach(func(e int) {
 						smaller := hs.Clone()
 						smaller.Clear(e)
-						if l := f.Loss(ev, ev.Uncovered(smaller)); l <= eps {
+						if l := approx.LossOfHittingSet(f, ev, smaller); l <= eps {
 							t.Fatalf("trial %d eps %v: non-minimal output", trial, eps)
 						}
 					})
@@ -169,19 +168,19 @@ func TestGreedyF3MonotoneEmpirically(t *testing.T) {
 		}
 		xp := x.Clone()
 		xp.Set(r.Intn(universe))
-		lx := f.Loss(ev, ev.Uncovered(x))
-		lxp := f.Loss(ev, ev.Uncovered(xp))
+		lx := approx.LossOfHittingSet(f, ev, x)
+		lxp := approx.LossOfHittingSet(f, ev, xp)
 		if lxp > lx+1e-12 {
 			t.Logf("trial %d: greedy f3 non-monotone (%v -> %v); acceptable per paper", trial, lx, lxp)
 		}
 	}
 }
 
-// TestFastTuplePathMatchesGenericOnRealData compares the end-to-end
-// mined DC sets for f2 and f3 between ADCEnum (fast incremental path)
-// and SearchMC (which calls the generic approx implementations) on the
-// running example. Any divergence in the loss bookkeeping would split
-// these outputs.
+// TestFastTuplePathMatchesGenericOnRealData mines the running example
+// with ADCEnum under f2 and f3, scoring through the live incremental
+// tally, and re-scores every output from scratch with
+// approx.LossOfHittingSet: each must stay within ε. Any divergence in
+// the tally bookkeeping would show as an output over ε.
 func TestFastTuplePathMatchesGenericOnRealData(t *testing.T) {
 	rel := datagen.RunningExample()
 	space := predicate.Build(rel, predicate.DefaultOptions())
@@ -194,12 +193,11 @@ func TestFastTuplePathMatchesGenericOnRealData(t *testing.T) {
 			fast := map[string]bool{}
 			hitset.EnumerateADC(ev, hitset.Options{Func: f, Epsilon: eps},
 				func(hs bitset.Bits) { fast[hs.Key()] = true })
-			// Brute-force via single-level check: every fast output's loss
-			// agrees with the generic implementation.
+			// Every output's from-scratch loss stays within ε.
 			for k := range fast {
 				hs := bitset.FromKey(k)
-				if l := f.Loss(ev, ev.Uncovered(hs)); l > eps+1e-12 {
-					t.Fatalf("%s eps %v: fast-path emitted set with generic loss %v",
+				if l := approx.LossOfHittingSet(f, ev, hs); l > eps+1e-12 {
+					t.Fatalf("%s eps %v: emitted set with from-scratch loss %v",
 						f.Name(), eps, l)
 				}
 			}

@@ -1,9 +1,6 @@
 package hitset
 
 import (
-	"math"
-	"sort"
-
 	"adc/internal/approx"
 	"adc/internal/evidence"
 )
@@ -14,15 +11,13 @@ type tupleCount struct {
 	c int64
 }
 
-// Evaluator computes enumeration losses for explicit lists of uncovered
-// distinct evidence sets, with allocation-free fast paths for the
-// built-in approximation functions: pair-counting functions (F1,
-// F1Adjusted) reduce to one weighted sum, and the tuple-based ones (F2,
-// GreedyF3) reuse a flattened vios representation and a scratch
-// workspace instead of building maps per call. It is shared by
-// ADCEnum/MMCS (this package) and the SearchMC baseline (package
-// searchmc), so both sides of the paper's Figure 6 comparison pay the
-// same per-evaluation cost.
+// Evaluator moves distinct evidence sets in and out of approx.Tally
+// values, so that enumeration scores every DC through approx.Func.Loss
+// without rebuilding a tally per evaluation. The vios maps are
+// flattened into slices once, and only when the function reads
+// per-tuple participation. It is shared by ADCEnum/MMCS (this package)
+// and the SearchMC baseline (package searchmc), so both sides of the
+// paper's Figure 6 comparison pay the same per-evaluation cost.
 //
 // An Evaluator is bound to one evidence set and is not safe for
 // concurrent use; the parallel enumerator gives each worker its own.
@@ -30,19 +25,11 @@ type Evaluator struct {
 	ev *evidence.Set
 	f  approx.Func
 
-	// fastPair marks functions that depend only on the violating-pair
-	// count (F1, F1Adjusted): their loss is a function of one int64.
-	fastPair bool
-	adjustZ  float64 // z of F1Adjusted; 0 for plain F1
-
-	// fastTuple marks the built-in tuple-based functions (F2, GreedyF3):
-	// per-tuple participation is evaluated from the flattened vios lists.
-	fastTuple bool
-	isF3      bool
-	viosList  [][]tupleCount // per distinct set: (tuple, participation)
-	scratch   []int64        // per-tuple delta workspace
-	order     []tupleCount   // reusable sort buffer for greedy f3
-	generic   []int          // reusable sorted copy for custom functions
+	// viosList[k] is ev.Vios[k] as (tuple, participation) pairs; nil
+	// unless f needs vios and ev has them over at least one row.
+	viosList [][]tupleCount
+	// scratch is LossOf's tally, empty between calls.
+	scratch approx.Tally
 }
 
 // NewEvaluator builds an evaluator for the approximation function over
@@ -50,128 +37,73 @@ type Evaluator struct {
 // which never evaluate a loss.
 func NewEvaluator(ev *evidence.Set, f approx.Func) *Evaluator {
 	e := &Evaluator{ev: ev, f: f}
-	switch fn := f.(type) {
-	case approx.F1:
-		e.fastPair = true
-	case approx.F1Adjusted:
-		e.fastPair = true
-		e.adjustZ = fn.Z
-	case approx.F2:
-		e.initFastTuple(false)
-	case approx.GreedyF3:
-		e.initFastTuple(true)
+	if f != nil && f.NeedsVios() && ev.HasVios() && ev.NumRows > 0 {
+		e.viosList = make([][]tupleCount, len(ev.Sets))
+		for k, m := range ev.Vios {
+			list := make([]tupleCount, 0, len(m))
+			for t, c := range m {
+				list = append(list, tupleCount{t, c})
+			}
+			e.viosList[k] = list
+		}
 	}
+	e.scratch = e.newTally()
 	return e
 }
 
-// initFastTuple flattens the vios maps into slices once, so per-call
-// evaluation iterates arrays instead of maps.
-func (e *Evaluator) initFastTuple(isF3 bool) {
-	if !e.ev.HasVios() || e.ev.NumRows == 0 {
-		return // generic path; the function will report the problem
+// newTally returns the empty tally of the evidence set: no violating
+// pairs, PerTuple allocated when the function reads it.
+func (e *Evaluator) newTally() approx.Tally {
+	t := approx.Tally{TotalPairs: e.ev.TotalPairs, Rows: e.ev.NumRows}
+	if e.viosList != nil {
+		t.PerTuple = make([]int64, e.ev.NumRows)
 	}
-	e.fastTuple = true
-	e.isF3 = isF3
-	e.viosList = make([][]tupleCount, len(e.ev.Sets))
-	e.scratch = make([]int64, e.ev.NumRows)
-	for k, m := range e.ev.Vios {
-		list := make([]tupleCount, 0, len(m))
-		for t, c := range m {
-			list = append(list, tupleCount{t, c})
+	return t
+}
+
+// add counts distinct set k's pairs as violating in t.
+func (e *Evaluator) add(t *approx.Tally, k int) {
+	t.Pairs += e.ev.Counts[k]
+	if e.viosList == nil {
+		return
+	}
+	for _, tc := range e.viosList[k] {
+		if t.PerTuple[tc.t] == 0 {
+			t.Involved++
 		}
-		e.viosList[k] = list
+		t.PerTuple[tc.t] += tc.c
+	}
+}
+
+// remove reverses add(t, k).
+func (e *Evaluator) remove(t *approx.Tally, k int) {
+	t.Pairs -= e.ev.Counts[k]
+	if e.viosList == nil {
+		return
+	}
+	for _, tc := range e.viosList[k] {
+		t.PerTuple[tc.t] -= tc.c
+		if t.PerTuple[tc.t] == 0 {
+			t.Involved--
+		}
 	}
 }
 
 // LossOf returns 1 − f for the DC whose uncovered distinct sets are
-// exactly setIdxs. The result is a pure function of the index set:
-// callers may pass the list in any order. Built-in functions run
-// allocation-free; custom functions see a sorted copy, so a
-// traversal-order-sensitive implementation cannot make enumeration
-// results depend on search history.
+// exactly setIdxs, in any order.
 func (e *Evaluator) LossOf(setIdxs []int) float64 {
-	if e.fastPair {
-		var viol int64
-		for _, k := range setIdxs {
-			viol += e.ev.Counts[k]
-		}
-		return e.pairLoss(viol)
-	}
-	if e.fastTuple {
-		return e.tupleLossOf(setIdxs)
-	}
-	e.generic = append(e.generic[:0], setIdxs...)
-	sort.Ints(e.generic)
-	return e.f.Loss(e.ev, e.generic)
+	return e.lossWith(&e.scratch, setIdxs)
 }
 
-// pairLoss maps a violating-pair count to the loss of F1 (or F1Adjusted
-// when adjustZ is set), mirroring the approx package.
-func (e *Evaluator) pairLoss(viol int64) float64 {
-	if e.ev.TotalPairs == 0 {
-		return 0
+// lossWith returns 1 − f for t with the (disjoint) extra sets added,
+// and leaves t as it was.
+func (e *Evaluator) lossWith(t *approx.Tally, extra []int) float64 {
+	for _, k := range extra {
+		e.add(t, k)
 	}
-	n := float64(e.ev.TotalPairs)
-	p := float64(viol) / n
-	if e.adjustZ == 0 {
-		return p
-	}
-	l := p + e.adjustZ*math.Sqrt(p*(1-p)/n)
-	if l > 1 {
-		return 1
+	l := e.f.Loss(t)
+	for _, k := range extra {
+		e.remove(t, k)
 	}
 	return l
-}
-
-// tupleLossOf computes the F2 or greedy-F3 loss of exactly the given
-// sets from the flattened vios lists, using the scratch workspace to
-// avoid the per-call map allocation of the generic functions.
-func (e *Evaluator) tupleLossOf(setIdxs []int) float64 {
-	var touched []int32
-	involved := 0
-	var u int64
-	for _, k := range setIdxs {
-		u += e.ev.Counts[k]
-		for _, tc := range e.viosList[k] {
-			if e.scratch[tc.t] == 0 {
-				involved++
-				touched = append(touched, tc.t)
-			}
-			e.scratch[tc.t] += tc.c
-		}
-	}
-	var result float64
-	if !e.isF3 {
-		result = float64(involved) / float64(e.ev.NumRows)
-	} else if u == 0 {
-		result = 0
-	} else {
-		e.order = e.order[:0]
-		for _, t := range touched {
-			e.order = append(e.order, tupleCount{t, e.scratch[t]})
-		}
-		result = float64(greedyRemovals(e.order, u)) / float64(e.ev.NumRows)
-	}
-	for _, t := range touched {
-		e.scratch[t] = 0
-	}
-	return result
-}
-
-// greedyRemovals is Figure 2's greedy selection over per-tuple violation
-// counts: sort descending, take tuples until the covered count reaches
-// the total violating pairs u, return how many were taken. The result
-// depends only on the multiset of counts, so an unstable sort is fine.
-func greedyRemovals(order []tupleCount, u int64) int {
-	sort.Slice(order, func(a, b int) bool { return order[a].c > order[b].c })
-	var covered int64
-	removed := 0
-	for _, tc := range order {
-		if covered >= u {
-			break
-		}
-		covered += tc.c
-		removed++
-	}
-	return removed
 }

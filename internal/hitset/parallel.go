@@ -3,8 +3,8 @@ package hitset
 // Parallel ADCEnum: the search tree of Figure 4 is cut into subtrees,
 // each identified by an explicit node frame — the move sequence from the
 // root — and enumerated by a pool of workers with their own copies of
-// the mutable bookkeeping (uncov/cand/crit/canHit and the loss
-// evaluator's scratch space).
+// the mutable bookkeeping (uncov/cand/crit/canHit and the live violation
+// tally).
 //
 // A coordinator first enumerates the shallow nodes sequentially and
 // enqueues the frontier subtrees (every node at depth seedDepth) onto a
@@ -19,10 +19,10 @@ package hitset
 // Replay is exact because every branch decision in state is a pure
 // function of the set-valued bookkeeping (see chooseUncov), so the
 // worker reconstructs precisely the node the enqueuer saw. Subtrees
-// partition the search tree, so each minimal cover is found exactly
-// once; the shared output intern is a lock-free backstop that collapses
-// duplicates deterministically should two subtree roots ever overlap,
-// and funnels emission so the user callback never runs concurrently.
+// partition the search tree, and the serial recursion emits each
+// minimal cover exactly once (Theorem 6.1), so each cover is emitted
+// exactly once here too, without deduplication. Emission is serialized
+// so the user callback never runs concurrently.
 
 import (
 	"fmt"
@@ -70,14 +70,13 @@ const offloadPathCap = 16
 const queueSlack = 4096
 
 // pool is the shared side of a parallel enumeration: the task queue,
-// termination accounting, the output intern, and the merged stats.
+// termination accounting, serialized emission, and the merged stats.
 type pool struct {
 	ch      chan task
 	pending atomic.Int64 // queued + running tasks; 0 closes ch
 	idle    atomic.Int64 // workers blocked on the queue
 	workers int
 
-	intern coverIntern
 	emitMu sync.Mutex
 	emit   func(bitset.Bits)
 
@@ -107,18 +106,12 @@ func (p *pool) submit(t task) bool {
 	}
 }
 
-// sink receives every cover found by a worker (or the coordinator). The
-// intern keeps first-writer-wins ownership of each distinct cover, so
-// the emitted set is deterministic regardless of scheduling; emit is
-// serialized because callers (and the sequential API) are not required
-// to pass a thread-safe callback.
-func (p *pool) sink(st *state) {
-	if !p.intern.add(st.sBits) {
-		return // duplicate cover from an overlapping subtree
-	}
-	st.stats.Outputs++
+// serialEmit forwards a cover found by a worker (or the coordinator) to
+// the user callback under emitMu: callers (and the sequential API) are
+// not required to pass a thread-safe callback.
+func (p *pool) serialEmit(hs bitset.Bits) {
 	p.emitMu.Lock()
-	p.emit(st.sBits)
+	p.emit(hs)
 	p.emitMu.Unlock()
 }
 
@@ -140,14 +133,13 @@ func (p *pool) stats() Stats {
 // enumerateADCParallel runs ADCEnum with the given worker count (> 1).
 func enumerateADCParallel(ev *evidence.Set, opts Options, workers int, emit func(hs bitset.Bits)) Stats {
 	p := &pool{workers: workers, emit: emit}
-	p.intern.init()
 
 	// Phase 1: the coordinator enumerates nodes above the frontier and
 	// collects the frontier subtrees. The slice (not the channel) holds
 	// them so an unexpectedly wide frontier cannot block the seeding.
 	var tasks []task
 	seed := newState(ev, opts)
-	seed.sink = p.sink
+	seed.emit = p.serialEmit
 	seed.offload = func(m move) bool {
 		if len(seed.path)+1 < seedDepth {
 			return false
@@ -210,7 +202,7 @@ func cloneMove(m move) move {
 // replay length rather than a full state rebuild.
 func (p *pool) runWorker(ev *evidence.Set, opts Options) {
 	st := newState(ev, opts)
-	st.sink = p.sink
+	st.emit = p.serialEmit
 	st.path = make([]move, 0, offloadPathCap)
 	st.offload = func(m move) bool {
 		if len(st.path) >= offloadPathCap || !p.hungry() {
@@ -324,60 +316,5 @@ func (st *state) undoMove(u moveUndo) {
 	st.undoCritUncov(u.log)
 	for _, e := range u.c {
 		st.cand.Set(e)
-	}
-}
-
-// ---- lock-free cover intern -----------------------------------------------
-
-// internBuckets is the fixed bucket count of the cover intern. Buckets
-// hold lock-free insert-only lists, so the table tolerates any load
-// factor; minimal-cover counts in the millions would merely lengthen
-// chains.
-const internBuckets = 1 << 12
-
-// coverIntern is a lock-free set of cover bitsets: fixed power-of-two
-// bucket array, per-bucket insert-only linked lists, CAS at the head.
-// add is linearizable — exactly one caller wins each distinct cover —
-// so duplicate covers from overlapping subtrees collapse independently
-// of goroutine scheduling.
-type coverIntern struct {
-	buckets []atomic.Pointer[coverNode]
-}
-
-type coverNode struct {
-	hash uint64
-	bits bitset.Bits
-	next *coverNode
-}
-
-func (ci *coverIntern) init() {
-	ci.buckets = make([]atomic.Pointer[coverNode], internBuckets)
-}
-
-// add inserts a clone of hs and reports whether it was absent.
-func (ci *coverIntern) add(hs bitset.Bits) bool {
-	h := hs.Hash()
-	b := &ci.buckets[h&(internBuckets-1)]
-	head := b.Load()
-	for n := head; n != nil; n = n.next {
-		if n.hash == h && n.bits.Equal(hs) {
-			return false
-		}
-	}
-	node := &coverNode{hash: h, bits: hs.Clone()}
-	for {
-		node.next = head
-		if b.CompareAndSwap(head, node) {
-			return true
-		}
-		// Lost the race: nodes prepended since our scan are exactly the
-		// prefix between the new head and the one we last saw.
-		newHead := b.Load()
-		for n := newHead; n != head; n = n.next {
-			if n.hash == h && n.bits.Equal(hs) {
-				return false
-			}
-		}
-		head = newHead
 	}
 }

@@ -41,9 +41,6 @@ type Options struct {
 	Epsilon float64
 	// MaxPredicates bounds cover size; 0 means unbounded.
 	MaxPredicates int
-	// KeepOperatorVariants retains same-attribute-pair operator variants
-	// in deeper candidate lists (default false, matching ADCEnum).
-	KeepOperatorVariants bool
 }
 
 type searcher struct {
@@ -52,10 +49,9 @@ type searcher struct {
 	emit  func(bitset.Bits)
 	stats Stats
 
-	// eval shares hitset's loss-evaluation split: pair-counting and
-	// tuple-based built-ins run allocation-free instead of through the
-	// generic map-building Func.Loss, so the Figure 6 comparison
-	// measures search strategy rather than loss-evaluation overhead.
+	// eval scores uncovered-set lists through the same tally
+	// bookkeeping as ADCEnum, so the Figure 6 comparison measures search
+	// strategy rather than loss-evaluation overhead.
 	eval *hitset.Evaluator
 
 	found []bitset.Bits // accepted minimal covers, for subset pruning
@@ -171,7 +167,7 @@ func (s *searcher) search(cands, uncovered []int) {
 }
 
 func (s *searcher) keep(chosen, other int) bool {
-	if s.ev.Space == nil || s.opts.KeepOperatorVariants {
+	if s.ev.Space == nil {
 		return true
 	}
 	for _, m := range s.ev.Space.GroupMembers(chosen) {

@@ -64,10 +64,6 @@ type Config struct {
 	MaxMemBytes int64
 	// MaxBodyBytes caps request body size. 0 means the default of 64 MiB.
 	MaxBodyBytes int64
-	// Ingest tunes the streaming CSV reader used by dataset
-	// registration (worker count, chunk rows). The zero value uses the
-	// reader's defaults; the parsed relation is identical regardless.
-	Ingest adc.IngestOptions
 	// DataDir, when set, turns on the persistent storage tier: every
 	// session is snapshotted there (columnar format, see
 	// internal/colstore) at registration, every acked append batch is
@@ -340,7 +336,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			}
 			header = b
 		}
-		rel, err := adc.ReadCSVOptions(r.Body, name, header, s.cfg.Ingest)
+		rel, err := adc.ReadCSV(r.Body, name, header)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
@@ -365,7 +361,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			name = "csv"
 		}
 		var err error
-		rel, err = adc.ReadCSVOptions(strings.NewReader(req.CSV), name, header, s.cfg.Ingest)
+		rel, err = adc.ReadCSV(strings.NewReader(req.CSV), name, header)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"adc/internal/approx"
 	"adc/internal/dataset"
 	"adc/internal/pli"
 	"adc/internal/predicate"
@@ -237,9 +238,10 @@ func (c *Checker) checkOne(spec predicate.DCSpec, opts Options) (*DCResult, erro
 		res.Pairs = res.Pairs[:opts.MaxPairs]
 	}
 	res.Truncated = res.Violations > int64(len(res.Pairs))
-	res.LossF1 = lossF1(col.violations, int64(n)*int64(n-1))
-	res.LossF2 = lossF2(col.counts, n)
-	res.LossF3 = lossF3(col.counts, col.violations, n)
+	tally := res.tally(n)
+	res.LossF1 = approx.F1{}.Loss(tally)
+	res.LossF2 = approx.F2{}.Loss(tally)
+	res.LossF3 = approx.GreedyF3{}.Loss(tally)
 	return res, nil
 }
 

@@ -46,6 +46,7 @@ import (
 	"math"
 	"slices"
 
+	"adc/internal/approx"
 	"adc/internal/dataset"
 	"adc/internal/predicate"
 )
@@ -184,9 +185,8 @@ func (r *Report) TopViolating(k int) []TupleCount {
 }
 
 // sortedTupleCounts lists the tuples with nonzero counts in greedy
-// order: count descending, ties toward the smaller index. This ordering
-// is load-bearing for lossF3, which must agree with approx.GreedyF3
-// (the SortTuples step of Figure 2) exactly.
+// order (the SortTuples step of Figure 2): count descending, ties
+// toward the smaller index.
 func sortedTupleCounts(counts []int64) []TupleCount {
 	out := make([]TupleCount, 0)
 	for t, c := range counts {
@@ -217,48 +217,21 @@ func Check(rel *dataset.Relation, specs []predicate.DCSpec, opts Options) (*Repo
 	return NewChecker(rel).Check(specs, opts)
 }
 
-// lossF1 is the violating-pair fraction (Kivinen–Mannila g1).
-func lossF1(violations, totalPairs int64) float64 {
-	if totalPairs == 0 {
-		return 0
+// tally is the DC's violation tally over a relation of n rows: the
+// input every approximation function scores.
+func (r *DCResult) tally(n int) *approx.Tally {
+	t := &approx.Tally{
+		Pairs:      r.Violations,
+		TotalPairs: int64(n) * int64(n-1),
+		Rows:       n,
+		PerTuple:   r.TupleCounts,
 	}
-	return float64(violations) / float64(totalPairs)
-}
-
-// lossF2 is the fraction of tuples involved in at least one violation
-// (Kivinen–Mannila g2).
-func lossF2(counts []int64, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	involved := 0
-	for _, c := range counts {
+	for _, c := range r.TupleCounts {
 		if c > 0 {
-			involved++
+			t.Involved++
 		}
 	}
-	return float64(involved) / float64(n)
-}
-
-// lossF3 is the greedy stand-in for the cardinality-repair fraction
-// (Figure 2), identical to approx.GreedyF3: take tuples in decreasing
-// participation order until the taken participation covers the violating
-// pair count.
-func lossF3(counts []int64, violations int64, n int) float64 {
-	if n == 0 || violations == 0 {
-		return 0
-	}
-	order := sortedTupleCounts(counts)
-	var covered int64
-	removed := 0
-	for _, e := range order {
-		if covered >= violations {
-			break
-		}
-		covered += e.Count
-		removed++
-	}
-	return float64(removed) / float64(n)
+	return t
 }
 
 // Validation is the verdict of one DC under a chosen approximation
@@ -293,13 +266,17 @@ func (r *Report) Validations(approxName string, eps float64) ([]Validation, erro
 	if math.IsNaN(eps) || math.IsInf(eps, 0) || eps < 0 {
 		return nil, fmt.Errorf("violation: %w: epsilon %v is not a finite number ≥ 0", ErrInvalidOption, eps)
 	}
-	pick, err := lossPicker(approxName)
+	if approxName == "" {
+		approxName = "f1"
+	}
+	f, err := approx.ForName(approxName)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("violation: %w: %v", ErrInvalidOption, err)
 	}
 	out := make([]Validation, len(r.Results))
-	for k, res := range r.Results {
-		loss := pick(res)
+	for k := range r.Results {
+		res := &r.Results[k]
+		loss := f.Loss(res.tally(r.NumRows))
 		out[k] = Validation{
 			Spec:       res.Spec,
 			Loss:       loss,
@@ -309,18 +286,6 @@ func (r *Report) Validations(approxName string, eps float64) ([]Validation, erro
 		}
 	}
 	return out, nil
-}
-
-func lossPicker(name string) (func(DCResult) float64, error) {
-	switch name {
-	case "", "f1":
-		return func(r DCResult) float64 { return r.LossF1 }, nil
-	case "f2":
-		return func(r DCResult) float64 { return r.LossF2 }, nil
-	case "f3", "f3-greedy":
-		return func(r DCResult) float64 { return r.LossF3 }, nil
-	}
-	return nil, fmt.Errorf("violation: %w: unknown approximation function %q (want f1, f2, or f3)", ErrInvalidOption, name)
 }
 
 // RepairResult is a greedy repair: the tuples whose deletion satisfies
