@@ -154,11 +154,12 @@ type Options struct {
 	// (the AFASTDC baseline), or "mmcs" (exact valid DCs only; requires
 	// Epsilon == 0).
 	Algorithm string
-	// Workers is the enumeration worker count for "adcenum": 0 picks
-	// GOMAXPROCS (degrading to the sequential recursion on small
+	// Workers is the enumeration worker count for "adcenum", ≥ 0: 0
+	// picks GOMAXPROCS (degrading to the sequential recursion on small
 	// evidence sets), 1 forces sequential, n > 1 distributes search
 	// subtrees across n work-stealing workers. The mined DC set is
-	// identical for every value. Ignored by "searchmc" and "mmcs".
+	// identical for every value. Ignored by "searchmc" and "mmcs";
+	// negative is an error.
 	Workers int
 	// Indexes optionally shares a per-column PLI store (for example
 	// Checker.Indexes) with evidence construction, so a server session
@@ -169,7 +170,8 @@ type Options struct {
 	// Predicates configures the predicate space; zero value means
 	// DefaultPredicateOptions.
 	Predicates PredicateOptions
-	// MaxPredicates bounds DC length; 0 means unbounded.
+	// MaxPredicates bounds DC length, ≥ 0; 0 means unbounded and
+	// negative is an error.
 	MaxPredicates int
 	// ChooseMinIntersection switches ADCEnum's branch choice to the
 	// min-intersection rule of Murakami and Uno (Figure 10 ablation).
@@ -380,14 +382,17 @@ func Mine(rel *Relation, opts Options) (*Result, error) {
 
 // ErrInvalidOption marks a rejected mining or checking parameter (an
 // unknown name, a non-finite epsilon, an alpha outside [0, 1), a
-// negative sample fraction); test for it with errors.Is.
+// negative sample fraction, predicate cap or worker count); test for it
+// with errors.Is.
 var ErrInvalidOption = violation.ErrInvalidOption
 
 // validate runs before any stage. It rejects unknown algorithms and the
 // numeric parameters that would otherwise mine silently wrong output: a
 // NaN epsilon passes a "< 0" check and accepts nothing, alpha ≥ 1 makes
-// the f1′ margin −∞ and accepts everything, and a negative or NaN
-// fraction used to mine the full relation.
+// the f1′ margin −∞ and accepts everything, a negative or NaN
+// fraction used to mine the full relation, a negative predicate cap
+// used to mean "unbounded", and a negative worker count ran
+// sequentially.
 func (o Options) validate() error {
 	bad := func(name string, v float64, want string) error {
 		return fmt.Errorf("adc: %w: %s %v (want %s)", ErrInvalidOption, name, v, want)
@@ -399,6 +404,10 @@ func (o Options) validate() error {
 		return bad("alpha", o.Alpha, "a number in [0, 1)")
 	case math.IsNaN(o.SampleFraction) || o.SampleFraction < 0:
 		return bad("sample fraction", o.SampleFraction, "a number ≥ 0")
+	case o.MaxPredicates < 0:
+		return bad("max predicates", float64(o.MaxPredicates), "an integer ≥ 0, 0 for unbounded")
+	case o.Workers < 0:
+		return bad("workers", float64(o.Workers), "an integer ≥ 0, 0 for auto")
 	}
 	switch o.Algorithm {
 	case "", "adcenum", "searchmc":

@@ -226,10 +226,17 @@ func TestMineErrors(t *testing.T) {
 		{SampleFraction: 0.5, Alpha: math.NaN()},
 		{SampleFraction: -0.5},
 		{SampleFraction: math.NaN()},
+		{MaxPredicates: -1},
+		{Workers: -2},
 	}
 	for i, opts := range cases {
 		if _, err := adc.Mine(rel, opts); !errors.Is(err, adc.ErrInvalidOption) {
 			t.Errorf("case %d (%+v): err = %v, want adc.ErrInvalidOption", i, opts, err)
+		}
+	}
+	for field, opts := range map[string]adc.Options{"max predicates": {MaxPredicates: -1}, "workers": {Workers: -2}} {
+		if _, err := adc.Mine(rel, opts); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%+v: err = %v, want a message naming %q", opts, err, field)
 		}
 	}
 	if _, err := adc.Mine(nil, adc.Options{}); err == nil {

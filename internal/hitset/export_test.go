@@ -2,6 +2,7 @@ package hitset
 
 import (
 	"adc/internal/approx"
+	"adc/internal/bitset"
 	"adc/internal/evidence"
 )
 
@@ -16,9 +17,10 @@ var EnumerateADCParallelForTest = enumerateADCParallel
 // absurd value cannot translate into goroutines.
 var ClampWorkersForTest = clampWorkers
 
-// LiveTally drives an enumeration state's live tally the way the
-// recursion does: Cover and Uncover move a distinct set out of and into
-// uncov, and Loss scores uncov plus extra sets through state.loss.
+// LiveTally drives an enumeration state's live tally the way push and
+// pop do: Cover and Uncover clear and set a distinct set's bit in the
+// current frame's uncov and move the set through the tally, and Loss
+// scores uncov plus extra sets through state.loss.
 type LiveTally struct{ st *state }
 
 // NewLiveTally returns the root state of an enumeration under f: every
@@ -27,8 +29,23 @@ func NewLiveTally(ev *evidence.Set, f approx.Func) LiveTally {
 	return LiveTally{newState(ev, Options{Func: f})}
 }
 
-func (l LiveTally) Cover(k int)              { l.st.uncovRemove(k) }
-func (l LiveTally) Uncover(k int)            { l.st.uncovAdd(k) }
-func (l LiveTally) Uncovered() []int         { return l.st.uncov }
-func (l LiveTally) Tally() *approx.Tally     { return &l.st.tally }
-func (l LiveTally) Loss(extra []int) float64 { return l.st.loss(extra) }
+func (l LiveTally) Cover(k int) {
+	l.st.top().uncov.Clear(k)
+	l.st.eval.remove(&l.st.tally, k)
+}
+
+func (l LiveTally) Uncover(k int) {
+	l.st.top().uncov.Set(k)
+	l.st.eval.add(&l.st.tally, k)
+}
+
+func (l LiveTally) Uncovered() []int     { return l.st.top().uncov.Slice() }
+func (l LiveTally) Tally() *approx.Tally { return &l.st.tally }
+
+func (l LiveTally) Loss(extra []int) float64 {
+	b := bitset.New(len(l.st.sets))
+	for _, k := range extra {
+		b.Set(k)
+	}
+	return l.st.loss(b)
+}

@@ -6,11 +6,17 @@
 // predicate IDs and the subsets to hit are the distinct evidence sets,
 // weighted by multiplicity.
 //
+// The set families of the pseudo-code are word bitmaps: uncov, crit[u]
+// and canHit over the distinct evidence sets, cand over the elements.
+// uncov and crit live in one frame per hitting-set size, so adding an
+// element to S writes the next frame with AND/ANDNOT passes and
+// removing it again is a return to the previous frame (see state).
+//
 // ADCEnum runs either as the classic sequential recursion or, with
 // Options.Workers, as a parallel enumeration: the search tree is cut
 // into subtrees identified by their move sequence from the root, and a
-// work-stealing worker pool replays and enumerates them with per-worker
-// bookkeeping (see parallel.go). Both modes emit exactly the same set
+// work-stealing worker pool replays and enumerates them, each worker on
+// its own state (see parallel.go). Both modes emit exactly the same set
 // of hitting sets.
 //
 // As the paper notes (Section 6), ADCEnum is a general algorithm for
@@ -122,61 +128,46 @@ func EnumerateMinimal(ev *evidence.Set, opts Options, emit func(hs bitset.Bits))
 	return st.stats
 }
 
-// state carries the shared bookkeeping of Figures 3 and 4: uncov, cand,
-// crit, canHit, and the growing hitting set S, all with undo logs so the
-// recursion restores them exactly as the pseudo-code's "recover" lines
-// require.
+// state carries the bookkeeping of Figures 3 and 4 as word bitmaps over
+// the distinct evidence sets. occ[e] holds the sets containing element
+// e. Each |S| has one frame holding uncov, the sets S does not hit, and
+// crit[i], the sets whose only element of S is the i-th one pushed.
+// push writes frame |S|+1 from frame |S| with AND/ANDNOT passes, so the
+// pseudo-code's "recover" lines are a return to the shallower frame, and
+// only the newly covered sets move through the live tally. canHit is
+// one bitset, saved on a stack around each updateCanHit; cand is one
+// bitset with short undo lists.
 //
-// Every branch decision below is a pure function of the *set-valued*
-// state (which sets are uncovered, which elements are candidates, which
-// sets each element is critical for) and never of the incidental order
-// the bookkeeping slices ended up in. The parallel enumerator depends on
+// Every branch decision below is a pure function of the set-valued
+// state, read in set-index order. The parallel enumerator depends on
 // this: a worker replays a move sequence from a fresh root and must make
-// exactly the choices the enqueuing worker made, even though its slices
-// are permuted differently (see parallel.go).
+// exactly the choices the enqueuing worker made (see parallel.go).
 type state struct {
 	ev    *evidence.Set
 	opts  Options
 	emit  func(bitset.Bits)
 	stats Stats
 
-	universe int
-	sets     []bitset.Bits
+	sets []bitset.Bits
 
-	uncov     []int       // indexes of sets not yet hit by S
-	uncovPos  []int       // position of set k in uncov, or -1
-	uncovBits bitset.Bits // same membership as uncov, for canonical scans
-	canHit    []bool
-	crit      [][]int // crit[e]: sets for which e is critical
-	cand      bitset.Bits
-	s         []int       // the growing hitting set S
-	sBits     bitset.Bits // same as s, as a bitset
+	occ    []bitset.Bits // occ[e]: the sets containing element e
+	frames []frame       // frames[d]: uncov and crit when |S| = d
+	canHit bitset.Bits   // uncovered sets some extension of S can still hit
+	lost   bitset.Bits   // willCover's scratch: uncov \ canHit
+	cand   bitset.Bits
+	s      []int       // the growing hitting set S
+	sBits  bitset.Bits // same as s, as a bitset
 
-	// occ[e] lists the distinct sets containing element e, so that
-	// adding an element touches only its own occurrences instead of
-	// scanning all of uncov — the O(‖M‖)-per-iteration bound of
-	// Murakami and Uno. For ubiquitous elements updateCritUncov falls
-	// back to scanning uncov and the crit lists, whichever is cheaper.
-	occ [][]int32
-	// critFor[k] is the element set k is critical for, else -1;
-	// critPos[k] is k's position inside crit[critFor[k]].
-	critFor []int32
-	critPos []int32
-	// critTotal is the summed length of all crit lists, maintained so
-	// updateCritUncov can cost its two strategies.
-	critTotal int
-	// logs pools one undo log per recursion depth, reused across the
-	// candidate loop to avoid per-call allocation.
-	logs []addLog
+	// saved[:nsaved] is the stack of canHit words as they were before
+	// each live updateCanHit; buffers beyond nsaved are kept for reuse.
+	saved  []bitset.Bits
+	nsaved int
 
 	// eval moves sets in and out of tallies. tally is the live tally
-	// of uncov, updated as sets are covered and uncovered (the
-	// bookkeeping the paper applies to f1 in Section 5), so a loss never
-	// rescans the uncovered sets. unhittable is willCover's reusable
-	// list.
-	eval       *Evaluator
-	tally      approx.Tally
-	unhittable []int
+	// of the current frame's uncov (the bookkeeping the paper applies to
+	// f1 in Section 5), so a loss never rescans the uncovered sets.
+	eval  *Evaluator
+	tally approx.Tally
 
 	// offload, when set, is consulted before every recursive descent
 	// with the child's move; returning true means the child subtree was
@@ -193,38 +184,37 @@ type state struct {
 	undoBuf []moveUndo
 }
 
+// frame is the set-valued state of one hitting-set size: uncov, and
+// crit[i] for the i-th element of S.
+type frame struct {
+	uncov bitset.Bits
+	crit  []bitset.Bits
+}
+
 func newState(ev *evidence.Set, opts Options) *state {
 	universe := universeSize(ev)
 	st := &state{
-		ev:        ev,
-		opts:      opts,
-		universe:  universe,
-		sets:      ev.Sets,
-		uncovPos:  make([]int, len(ev.Sets)),
-		uncovBits: bitset.New(len(ev.Sets)),
-		canHit:    make([]bool, len(ev.Sets)),
-		crit:      make([][]int, universe),
-		cand:      bitset.New(universe),
-		sBits:     bitset.New(universe),
-		occ:       make([][]int32, universe),
-		critFor:   make([]int32, len(ev.Sets)),
-		critPos:   make([]int32, len(ev.Sets)),
-		eval:      NewEvaluator(ev, opts.Func),
+		ev:     ev,
+		opts:   opts,
+		sets:   ev.Sets,
+		occ:    make([]bitset.Bits, universe),
+		canHit: bitset.New(len(ev.Sets)),
+		lost:   bitset.New(len(ev.Sets)),
+		cand:   bitset.New(universe),
+		sBits:  bitset.New(universe),
+		eval:   NewEvaluator(ev, opts.Func),
 	}
 	st.tally = st.eval.newTally()
-	for k := range ev.Sets {
-		st.uncov = append(st.uncov, k)
-		st.uncovPos[k] = k
-		st.uncovBits.Set(k)
-		st.eval.add(&st.tally, k)
-		st.canHit[k] = true
-		st.critFor[k] = -1
-		ev.Sets[k].ForEach(func(e int) {
-			st.occ[e] = append(st.occ[e], int32(k))
-		})
-	}
-	for e := 0; e < universe; e++ {
+	for e := range st.occ {
+		st.occ[e] = bitset.New(len(ev.Sets))
 		st.cand.Set(e)
+	}
+	root := st.frameAt(0)
+	for k, set := range ev.Sets {
+		root.uncov.Set(k)
+		st.canHit.Set(k)
+		st.eval.add(&st.tally, k)
+		set.ForEach(func(e int) { st.occ[e].Set(k) })
 	}
 	return st
 }
@@ -242,141 +232,73 @@ func universeSize(ev *evidence.Set) int {
 	return max
 }
 
-// ---- uncov maintenance -------------------------------------------------
-
-func (st *state) uncovRemove(k int) {
-	pos := st.uncovPos[k]
-	last := len(st.uncov) - 1
-	moved := st.uncov[last]
-	st.uncov[pos] = moved
-	st.uncovPos[moved] = pos
-	st.uncov = st.uncov[:last]
-	st.uncovPos[k] = -1
-	st.uncovBits.Clear(k)
-	st.eval.remove(&st.tally, k)
-}
-
-func (st *state) uncovAdd(k int) {
-	st.uncovPos[k] = len(st.uncov)
-	st.uncov = append(st.uncov, k)
-	st.uncovBits.Set(k)
-	st.eval.add(&st.tally, k)
-}
-
-// critChange records the removal of set f from crit[u].
-type critChange struct{ u, f int }
-
-// addLog is the undo record of one UpdateCritUncov call.
-type addLog struct {
-	covered []int // sets moved from uncov to crit[e]
-	stolen  []critChange
-}
-
-// critAppend adds set k to crit[u], maintaining the position index.
-func (st *state) critAppend(u, k int) {
-	st.critFor[k] = int32(u)
-	st.critPos[k] = int32(len(st.crit[u]))
-	st.crit[u] = append(st.crit[u], k)
-	st.critTotal++
-}
-
-// critRemove removes set k from crit[critFor[k]] in O(1).
-func (st *state) critRemove(k int) {
-	u := int(st.critFor[k])
-	pos := int(st.critPos[k])
-	cu := st.crit[u]
-	last := len(cu) - 1
-	moved := cu[last]
-	cu[pos] = moved
-	st.critPos[moved] = int32(pos)
-	st.crit[u] = cu[:last]
-	st.critFor[k] = -1
-	st.critTotal--
-}
-
-// logAt returns the pooled undo log for recursion depth d, emptied.
-func (st *state) logAt(d int) *addLog {
-	for len(st.logs) <= d {
-		st.logs = append(st.logs, addLog{})
-	}
-	log := &st.logs[d]
-	log.covered = log.covered[:0]
-	log.stolen = log.stolen[:0]
-	return log
-}
-
-// updateCritUncov is the subroutine of Figure 3: move every uncovered
-// set containing e into crit[e], and remove from crit[u] (u ∈ S) every
-// set containing e. Covered and stolen sets are recorded in the pooled
-// log for depth d. Sets covered twice or more need no bookkeeping at
-// all, so the cheaper of two strategies is used: walking e's occurrence
-// list, or walking uncov plus the current crit lists (better for
-// ubiquitous elements deep in the recursion, where few sets remain
-// uncovered or critical).
-func (st *state) updateCritUncov(e, d int) *addLog {
-	log := st.logAt(d)
-	if len(st.occ[e]) <= len(st.uncov)+st.critTotal {
-		for _, k32 := range st.occ[e] {
-			k := int(k32)
-			if st.uncovPos[k] >= 0 {
-				st.uncovRemove(k)
-				st.critAppend(e, k)
-				log.covered = append(log.covered, k)
-			} else if u := st.critFor[k]; u >= 0 && int(u) != e {
-				st.critRemove(k)
-				log.stolen = append(log.stolen, critChange{int(u), k})
-			}
+// frameAt returns the frame for |S| = d, allocating it (and any
+// shallower missing ones) on first use. Frames share no words, so a
+// returned frame stays valid as the slice grows.
+func (st *state) frameAt(d int) frame {
+	for len(st.frames) <= d {
+		n := len(st.frames)
+		words := bitset.WordsFor(len(st.sets))
+		buf := make(bitset.Bits, (n+1)*words)
+		f := frame{uncov: buf[:words:words], crit: make([]bitset.Bits, n)}
+		for i := range f.crit {
+			f.crit[i] = buf[(i+1)*words : (i+2)*words : (i+2)*words]
 		}
-		return log
+		st.frames = append(st.frames, f)
 	}
-	for i := 0; i < len(st.uncov); {
-		k := st.uncov[i]
-		if st.sets[k].Test(e) {
-			st.uncovRemove(k) // swap-remove: same index now holds a new set
-			st.critAppend(e, k)
-			log.covered = append(log.covered, k)
-			continue
-		}
-		i++
-	}
-	for _, u := range st.s {
-		// Index st.crit[u] directly: critRemove swap-removes in place.
-		for i := 0; i < len(st.crit[u]); {
-			k := st.crit[u][i]
-			if st.sets[k].Test(e) {
-				st.critRemove(k)
-				log.stolen = append(log.stolen, critChange{u, k})
-				continue
-			}
-			i++
-		}
-	}
-	return log
+	return st.frames[d]
 }
 
-// undoCritUncov reverses updateCritUncov(e, d).
-func (st *state) undoCritUncov(log *addLog) {
-	for i := len(log.stolen) - 1; i >= 0; i-- {
-		c := log.stolen[i]
-		st.critAppend(c.u, c.f)
-	}
-	for i := len(log.covered) - 1; i >= 0; i-- {
-		k := log.covered[i]
-		st.critRemove(k)
-		st.uncovAdd(k)
-	}
-}
+// top is the frame of the current node.
+func (st *state) top() frame { return st.frames[len(st.s)] }
 
-// critNonEmptyForAll reports whether every element of S is still
-// critical for at least one set (the minimality precondition of
-// Figure 3, line 9 / Figure 4, line 17).
-func (st *state) critNonEmptyForAll() bool {
-	for _, u := range st.s {
-		if len(st.crit[u]) == 0 {
+// push is UpdateCritUncov of Figure 3 followed by its line 9 check. It
+// writes frame |S|+1 for S ∪ {e}: the uncovered sets containing e leave
+// uncov and become crit[e], and every crit[u] loses the sets e also
+// hits. It reports whether every element of S ∪ {e} is still critical
+// for some set; only then is e added to S and the newly covered sets
+// moved out of the live tally. On false the state is unchanged.
+func (st *state) push(e int) bool {
+	d := len(st.s)
+	next := st.frameAt(d + 1)
+	cur := st.frames[d]
+	occ := st.occ[e]
+	covered := next.crit[d]
+	var nz uint64 // OR of the words written: zero iff the bitmap is empty
+	for i, w := range cur.uncov {
+		c := w & occ[i]
+		covered[i] = c
+		next.uncov[i] = w &^ c
+		nz |= c
+	}
+	if nz == 0 {
+		return false
+	}
+	for j, src := range cur.crit {
+		dst := next.crit[j]
+		nz = 0
+		for i, w := range src {
+			w &^= occ[i]
+			dst[i] = w
+			nz |= w
+		}
+		if nz == 0 {
 			return false
 		}
 	}
+	st.s = append(st.s, e)
+	st.sBits.Set(e)
+	st.eval.removeAll(&st.tally, covered)
 	return true
+}
+
+// pop undoes the last successful push: the sets it covered rejoin the
+// live tally and frame |S| is current again.
+func (st *state) pop() {
+	d := len(st.s) - 1
+	st.sBits.Clear(st.s[d])
+	st.s = st.s[:d]
+	st.eval.addAll(&st.tally, st.frames[d+1].crit[d])
 }
 
 // chooseScanLimit bounds how many eligible sets chooseUncov examines.
@@ -391,21 +313,20 @@ const chooseScanLimit = 64
 // with the max (or min) intersection with cand among a bounded scan.
 // Returns -1 if none qualifies.
 //
-// The scan walks uncovBits in set-index order with ties going to the
-// lowest index, so the choice is a pure function of the uncovered set —
-// not of the incidental order uncov's swap-removes produced. The
+// The scan walks uncov in set-index order with ties going to the lowest
+// index, so the choice is a pure function of the uncovered set. The
 // parallel enumerator's replay correctness depends on this (the serial
 // enumerator only needs *some* deterministic rule).
 func (st *state) chooseUncov(restrict bool) int {
 	best, bestN := -1, -1
 	scanned := 0
-	for wi, w := range st.uncovBits {
+	for wi, w := range st.top().uncov {
+		if restrict {
+			w &= st.canHit[wi]
+		}
 		for w != 0 {
 			k := wi*64 + bits.TrailingZeros64(w)
 			w &= w - 1
-			if restrict && !st.canHit[k] {
-				continue
-			}
 			n := st.sets[k].IntersectionCount(st.cand)
 			if best == -1 {
 				best, bestN = k, n
@@ -440,7 +361,7 @@ func (st *state) candidatesIn(k int) []int {
 
 func (st *state) mmcs() {
 	st.stats.Calls++
-	if len(st.uncov) == 0 {
+	if st.top().uncov.Empty() {
 		st.emitCover()
 		return
 	}
@@ -453,32 +374,20 @@ func (st *state) mmcs() {
 		st.cand.Clear(e)
 	}
 	for _, e := range c {
-		log := st.updateCritUncov(e, len(st.s))
-		if st.critNonEmptyForAll() && len(st.crit[e]) > 0 {
-			variants := st.removeOperatorVariants(e)
-			st.push(e)
-			st.mmcs()
-			st.pop(e)
-			for _, m := range variants {
-				st.cand.Set(m)
-			}
-			st.cand.Set(e)
+		if !st.push(e) {
+			continue
 		}
-		st.undoCritUncov(log)
+		variants := st.removeOperatorVariants(e)
+		st.mmcs()
+		st.pop()
+		for _, m := range variants {
+			st.cand.Set(m)
+		}
+		st.cand.Set(e)
 	}
 	for _, e := range c {
 		st.cand.Set(e)
 	}
-}
-
-func (st *state) push(e int) {
-	st.s = append(st.s, e)
-	st.sBits.Set(e)
-}
-
-func (st *state) pop(e int) {
-	st.s = st.s[:len(st.s)-1]
-	st.sBits.Clear(e)
 }
 
 // emitCover reports the current S as an output. Serial runs go straight
@@ -493,7 +402,7 @@ func (st *state) emitCover() {
 // loss evaluates 1 − f(D, S′) for the DC whose uncovered sets are the
 // current uncov plus the (disjoint) extra sets: the extra sets join the
 // live tally for the evaluation and leave it again.
-func (st *state) loss(extra []int) float64 {
+func (st *state) loss(extra bitset.Bits) float64 {
 	st.stats.LossEvals++
 	return st.eval.lossWith(&st.tally, extra)
 }
@@ -502,8 +411,8 @@ func (st *state) loss(extra []int) float64 {
 // deletion keeps the loss within ε. The uncovered sets of S \ {u} are
 // uncov ∪ crit[u]. Monotonicity makes single deletions sufficient.
 func (st *state) isMinimal() bool {
-	for _, u := range st.s {
-		if st.loss(st.crit[u]) <= st.opts.Epsilon {
+	for _, crit := range st.top().crit {
+		if st.loss(crit) <= st.opts.Epsilon {
 			return false
 		}
 	}
@@ -512,32 +421,42 @@ func (st *state) isMinimal() bool {
 
 // willCover is the subroutine of Figure 5: the best any extension of S
 // by remaining candidates can do is cover every uncovered set that still
-// intersects cand; the sets that cannot be hit are exactly those marked
-// canHit=false (the caller runs updateCanHit first). If even that loss
+// intersects cand; the sets that cannot be hit are the uncovered ones
+// outside canHit (the caller runs updateCanHit first). If even that loss
 // exceeds ε, monotonicity prunes the branch.
 func (st *state) willCover() bool {
 	st.stats.LossEvals++
-	st.unhittable = st.unhittable[:0]
-	for _, k := range st.uncov {
-		if !st.canHit[k] {
-			st.unhittable = append(st.unhittable, k)
-		}
+	for i, w := range st.top().uncov {
+		st.lost[i] = w &^ st.canHit[i]
 	}
-	return st.eval.LossOf(st.unhittable) <= st.opts.Epsilon
+	return st.eval.lossWith(&st.eval.scratch, st.lost) <= st.opts.Epsilon
 }
 
-// updateCanHit is UpdateCanCover of Figure 5: mark every uncovered set
-// with an empty intersection with cand as unhittable. Returns the sets
-// flipped, for undo.
-func (st *state) updateCanHit() []int {
-	var flipped []int
-	for _, k := range st.uncov {
-		if st.canHit[k] && !st.sets[k].Intersects(st.cand) {
-			st.canHit[k] = false
-			flipped = append(flipped, k)
+// updateCanHit is UpdateCanCover of Figure 5: clear canHit for every
+// uncovered set with an empty intersection with cand. It saves canHit
+// first; restoreCanHit undoes it.
+func (st *state) updateCanHit() {
+	if st.nsaved == len(st.saved) {
+		st.saved = append(st.saved, bitset.New(len(st.sets)))
+	}
+	copy(st.saved[st.nsaved], st.canHit)
+	st.nsaved++
+	for wi, w := range st.top().uncov {
+		w &= st.canHit[wi]
+		for w != 0 {
+			k := wi*64 + bits.TrailingZeros64(w)
+			w &= w - 1
+			if !st.sets[k].Intersects(st.cand) {
+				st.canHit.Clear(k)
+			}
 		}
 	}
-	return flipped
+}
+
+// restoreCanHit reverses the last live updateCanHit.
+func (st *state) restoreCanHit() {
+	st.nsaved--
+	copy(st.canHit, st.saved[st.nsaved])
 }
 
 // removeOperatorVariants drops from cand all predicates that differ
@@ -607,19 +526,17 @@ func (st *state) adcEnum() {
 	}
 
 	// Branch 1 (Figure 4, lines 7–12): do not hit F. Remove all of F's
-	// elements from cand, mark newly unhittable sets, and recurse if the
-	// optimistic extension can still reach ε.
+	// elements from cand, drop the sets no candidate hits any more from
+	// canHit, and recurse if the optimistic extension can still reach ε.
 	removedCand := st.candidatesIn(f)
 	for _, e := range removedCand {
 		st.cand.Clear(e)
 	}
-	flipped := st.updateCanHit()
+	st.updateCanHit()
 	if st.willCover() {
 		st.descend(move{take: moveSkip})
 	}
-	for _, k := range flipped {
-		st.canHit[k] = true
-	}
+	st.restoreCanHit()
 	for _, e := range removedCand {
 		st.cand.Set(e)
 	}
@@ -638,21 +555,19 @@ func (st *state) adcEnum() {
 		passed = st.passedAt(len(st.s), len(c))
 	}
 	for i, e := range c {
-		log := st.updateCritUncov(e, len(st.s))
-		if st.critNonEmptyForAll() && len(st.crit[e]) > 0 {
-			variants := st.removeOperatorVariants(e)
-			st.push(e)
-			st.descend(move{take: int32(i), passed: passed})
-			st.pop(e)
-			for _, m := range variants {
-				st.cand.Set(m)
-			}
-			st.cand.Set(e)
-			if passed != nil {
-				passed[i>>6] |= 1 << (uint(i) & 63)
-			}
+		if !st.push(e) {
+			continue
 		}
-		st.undoCritUncov(log)
+		variants := st.removeOperatorVariants(e)
+		st.descend(move{take: int32(i), passed: passed})
+		st.pop()
+		for _, m := range variants {
+			st.cand.Set(m)
+		}
+		st.cand.Set(e)
+		if passed != nil {
+			passed[i>>6] |= 1 << (uint(i) & 63)
+		}
 	}
 	for _, e := range c {
 		st.cand.Set(e)

@@ -290,16 +290,52 @@ func TestMaxPredicatesCap(t *testing.T) {
 		})
 }
 
+// TestStatsAccounting pins the search tree: the exact Calls, Outputs and
+// LossEvals of ADCEnum under every built-in function, both branch-choice
+// rules and a tighter predicate cap — serial and on 4 workers, whose
+// merged counters must equal the serial run's — and of MMCS. A change
+// to the enumerator's bookkeeping that alters any branch decision moves
+// these numbers even when the emitted DC set happens to survive.
 func TestStatsAccounting(t *testing.T) {
-	ev, _ := runningExampleEvidence(t)
-	var n int64
-	stats := hitset.EnumerateADC(ev, hitset.Options{Func: approx.F1{}, Epsilon: 0.02},
-		func(bitset.Bits) { n++ })
-	if stats.Outputs != n {
-		t.Errorf("Stats.Outputs = %d, emitted %d", stats.Outputs, n)
+	d, err := datagen.ByName("adult", 15, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stats.Calls <= 0 || stats.LossEvals <= 0 {
-		t.Error("stats not accounted")
+	space := predicate.Build(d.Rel, predicate.DefaultOptions())
+	ev, err := evidence.AutoBuilder{}.Build(space, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1 := approx.F1{}
+	cases := []struct {
+		name string
+		opts hitset.Options
+		want hitset.Stats
+	}{
+		{"f1", hitset.Options{Func: f1, Epsilon: 0.05, MaxPredicates: 3}, hitset.Stats{Calls: 11858, Outputs: 1498, LossEvals: 18154}},
+		{"f1-adjusted", hitset.Options{Func: approx.F1Adjusted{Z: 1.2}, Epsilon: 0.05, MaxPredicates: 3}, hitset.Stats{Calls: 11674, Outputs: 954, LossEvals: 16030}},
+		{"f2", hitset.Options{Func: approx.F2{}, Epsilon: 0.2, MaxPredicates: 3}, hitset.Stats{Calls: 10448, Outputs: 179, LossEvals: 12399}},
+		{"f3-greedy", hitset.Options{Func: approx.GreedyF3{}, Epsilon: 0.2, MaxPredicates: 3}, hitset.Stats{Calls: 11745, Outputs: 760, LossEvals: 15845}},
+		{"f1 min-intersection", hitset.Options{Func: f1, Epsilon: 0.05, MaxPredicates: 3, ChooseMinIntersection: true}, hitset.Stats{Calls: 10289, Outputs: 1498, LossEvals: 18364}},
+		{"f1 <=2 predicates", hitset.Options{Func: f1, Epsilon: 0.05, MaxPredicates: 2}, hitset.Stats{Calls: 968, Outputs: 30, LossEvals: 1106}},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 4} {
+			c.opts.Workers = workers
+			var n int64 // emit is never called concurrently
+			got := hitset.EnumerateADC(ev, c.opts, func(bitset.Bits) { n++ })
+			if got.Outputs != n {
+				t.Errorf("%s workers %d: Stats.Outputs = %d, emitted %d", c.name, workers, got.Outputs, n)
+			}
+			if got != c.want {
+				t.Errorf("%s workers %d: stats %+v, want %+v", c.name, workers, got, c.want)
+			}
+		}
+	}
+	var n int64
+	got := hitset.EnumerateMinimal(ev, hitset.Options{MaxPredicates: 3}, func(bitset.Bits) { n++ })
+	if want := (hitset.Stats{Calls: 6410, Outputs: 366}); got != want || got.Outputs != n {
+		t.Errorf("mmcs: stats %+v (emitted %d), want %+v", got, n, want)
 	}
 }
 

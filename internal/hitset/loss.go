@@ -2,6 +2,7 @@ package hitset
 
 import (
 	"adc/internal/approx"
+	"adc/internal/bitset"
 	"adc/internal/evidence"
 )
 
@@ -89,21 +90,34 @@ func (e *Evaluator) remove(t *approx.Tally, k int) {
 	}
 }
 
+// addAll adds every set of b to t.
+func (e *Evaluator) addAll(t *approx.Tally, b bitset.Bits) {
+	b.ForEach(func(k int) { e.add(t, k) })
+}
+
+// removeAll reverses addAll(t, b).
+func (e *Evaluator) removeAll(t *approx.Tally, b bitset.Bits) {
+	b.ForEach(func(k int) { e.remove(t, k) })
+}
+
 // LossOf returns 1 − f for the DC whose uncovered distinct sets are
 // exactly setIdxs, in any order.
 func (e *Evaluator) LossOf(setIdxs []int) float64 {
-	return e.lossWith(&e.scratch, setIdxs)
+	for _, k := range setIdxs {
+		e.add(&e.scratch, k)
+	}
+	l := e.f.Loss(&e.scratch)
+	for _, k := range setIdxs {
+		e.remove(&e.scratch, k)
+	}
+	return l
 }
 
 // lossWith returns 1 − f for t with the (disjoint) extra sets added,
 // and leaves t as it was.
-func (e *Evaluator) lossWith(t *approx.Tally, extra []int) float64 {
-	for _, k := range extra {
-		e.add(t, k)
-	}
+func (e *Evaluator) lossWith(t *approx.Tally, extra bitset.Bits) float64 {
+	e.addAll(t, extra)
 	l := e.f.Loss(t)
-	for _, k := range extra {
-		e.remove(t, k)
-	}
+	e.removeAll(t, extra)
 	return l
 }

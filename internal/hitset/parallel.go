@@ -1,20 +1,19 @@
 package hitset
 
 // Parallel ADCEnum: the search tree of Figure 4 is cut into subtrees,
-// each identified by an explicit node frame — the move sequence from the
-// root — and enumerated by a pool of workers with their own copies of
-// the mutable bookkeeping (uncov/cand/crit/canHit and the live violation
-// tally).
+// each identified by its move sequence from the root, and enumerated by
+// a pool of workers, each with its own state: bitmap frames for uncov
+// and crit, cand, canHit and the live violation tally.
 //
-// A coordinator first enumerates the shallow nodes sequentially and
-// enqueues the frontier subtrees (every node at depth seedDepth) onto a
-// shared channel-based deque. Workers drain it; when the queue starves
-// and some worker sits idle, busy workers steal-feed it by offloading
-// subtrees they were about to recurse into — the decision is made at
-// descend() time, so a skewed subtree keeps splitting as long as anyone
-// is hungry. A worker executes a task by replaying its move sequence
-// from the root (re-applying only bookkeeping, no loss evaluations),
-// enumerating the subtree, and unwinding the replay for the next task.
+// A coordinator first runs the root node and enqueues its child subtrees
+// onto a shared channel-based deque. Workers drain it; when the queue
+// starves and some worker sits idle, busy workers steal-feed it by
+// offloading subtrees they were about to recurse into — the decision is
+// made at descend() time, so a skewed subtree keeps splitting as long as
+// anyone is hungry. A worker executes a task by replaying its move
+// sequence from the root (re-applying only bookkeeping, no loss
+// evaluations), enumerating the subtree, and popping back to the root
+// frame for the next task.
 //
 // Replay is exact because every branch decision in state is a pure
 // function of the set-valued bookkeeping (see chooseUncov), so the
@@ -26,6 +25,7 @@ package hitset
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -42,7 +42,7 @@ const moveSkip int32 = -1
 // before take survived their crit check when the enqueuing worker ran
 // the loop: the serial recursion restores a sibling's cand bit only in
 // that case, and carrying the outcomes makes replay O(1) per sibling
-// instead of re-running updateCritUncov for each.
+// instead of re-running push for each.
 type move struct {
 	take   int32
 	passed []uint64
@@ -53,11 +53,6 @@ type move struct {
 type task struct {
 	path []move
 }
-
-// seedDepth is the frontier depth of the initial decomposition: the
-// coordinator enumerates nodes shallower than this itself and enqueues
-// every subtree rooted at exactly this depth.
-const seedDepth = 2
 
 // offloadPathCap bounds the path length of dynamically offloaded
 // subtrees; deeper subtrees are too small to pay replay plus queue
@@ -76,6 +71,7 @@ type pool struct {
 	pending atomic.Int64 // queued + running tasks; 0 closes ch
 	idle    atomic.Int64 // workers blocked on the queue
 	workers int
+	procs   int // GOMAXPROCS at the start of the run
 
 	emitMu sync.Mutex
 	emit   func(bitset.Bits)
@@ -84,13 +80,16 @@ type pool struct {
 }
 
 // hungry reports whether offloading a subtree would likely shorten the
-// run: somebody is starving and the queue has nothing for them. The
-// empty-queue condition keeps the steal rate proportional to actual
-// starvation — every descend re-checks, so one offload per starving
-// moment refills the queue quickly without flooding it with subtrees
-// that would have been cheaper to recurse inline.
+// run: somebody is starving, the queue has nothing for them, and a CPU
+// would otherwise go unused (with more workers than CPUs, an idle worker
+// next to a full set of busy ones gains nothing from a split but its
+// replay). The empty-queue condition keeps the steal rate proportional to
+// actual starvation — every descend re-checks, so one offload per
+// starving moment refills the queue quickly without flooding it with
+// subtrees that would have been cheaper to recurse inline.
 func (p *pool) hungry() bool {
-	return len(p.ch) == 0 && p.idle.Load() > 0
+	idle := int(p.idle.Load())
+	return idle > 0 && len(p.ch) == 0 && p.workers-idle < p.procs
 }
 
 // submit queues a subtree for another worker; false means the queue was
@@ -132,19 +131,18 @@ func (p *pool) stats() Stats {
 
 // enumerateADCParallel runs ADCEnum with the given worker count (> 1).
 func enumerateADCParallel(ev *evidence.Set, opts Options, workers int, emit func(hs bitset.Bits)) Stats {
-	p := &pool{workers: workers, emit: emit}
+	p := &pool{workers: workers, procs: runtime.GOMAXPROCS(0), emit: emit}
 
-	// Phase 1: the coordinator enumerates nodes above the frontier and
-	// collects the frontier subtrees. The slice (not the channel) holds
-	// them so an unexpectedly wide frontier cannot block the seeding.
+	// Phase 1: the coordinator runs the root node and collects its child
+	// subtrees. Seeding deeper costs a replay per task, which outweighs
+	// the subtrees' own work once nodes are cheap; work stealing splits
+	// skewed subtrees instead. The slice (not the channel) holds the
+	// tasks so a wide root cannot block the seeding.
 	var tasks []task
 	seed := newState(ev, opts)
 	seed.emit = p.serialEmit
 	seed.offload = func(m move) bool {
-		if len(seed.path)+1 < seedDepth {
-			return false
-		}
-		tasks = append(tasks, task{path: childPath(seed.path, m)})
+		tasks = append(tasks, task{path: childPath(nil, m)})
 		return true
 	}
 	seed.adcEnum()
@@ -231,12 +229,9 @@ func (p *pool) runWorker(ev *evidence.Set, opts Options) {
 // moveUndo records what applyMove changed, for exact unwinding.
 type moveUndo struct {
 	take        int32
-	removedCand []int   // skip: cand bits cleared
-	flipped     []int   // skip: canHit flips
-	c           []int   // take: the node's full candidate list
-	e           int     // take: chosen element
-	variants    []int   // take: operator variants removed from cand
-	log         *addLog // take: the kept crit/uncov log
+	removedCand []int // skip: cand bits cleared
+	c           []int // take: the node's full candidate list
+	variants    []int // take: operator variants removed from cand
 }
 
 // runTask replays the task's move sequence from the root, enumerates the
@@ -273,8 +268,8 @@ func (st *state) applyMove(m move) moveUndo {
 		for _, e := range removed {
 			st.cand.Clear(e)
 		}
-		flipped := st.updateCanHit()
-		return moveUndo{take: m.take, removedCand: removed, flipped: flipped}
+		st.updateCanHit()
+		return moveUndo{take: m.take, removedCand: removed}
 	}
 	c := st.candidatesIn(f)
 	if int(m.take) >= len(c) {
@@ -292,28 +287,26 @@ func (st *state) applyMove(m move) moveUndo {
 		}
 	}
 	e := c[m.take]
-	log := st.updateCritUncov(e, len(st.s))
+	if !st.push(e) {
+		panic("hitset: replay move failed its crit check")
+	}
 	variants := st.removeOperatorVariants(e)
-	st.push(e)
-	return moveUndo{take: m.take, c: c, e: e, variants: variants, log: log}
+	return moveUndo{take: m.take, c: c, variants: variants}
 }
 
 // undoMove reverses applyMove, restoring the state to the parent node.
 func (st *state) undoMove(u moveUndo) {
 	if u.take == moveSkip {
-		for _, k := range u.flipped {
-			st.canHit[k] = true
-		}
+		st.restoreCanHit()
 		for _, e := range u.removedCand {
 			st.cand.Set(e)
 		}
 		return
 	}
-	st.pop(u.e)
+	st.pop()
 	for _, m := range u.variants {
 		st.cand.Set(m)
 	}
-	st.undoCritUncov(u.log)
 	for _, e := range u.c {
 		st.cand.Set(e)
 	}
