@@ -61,6 +61,13 @@ func BenchmarkEvidenceClusterAdult(b *testing.B) {
 	benchBuild(b, evidence.AutoBuilder{Workers: 1}, "adult", 200)
 }
 
+// Airport is near-unique: super-rows barely collapse and the distinct
+// sets run into the thousands — the shape the sampled mine builds its
+// evidence on (a trend number in BENCH_evidence.json, not a gate).
+func BenchmarkEvidenceClusterAirport(b *testing.B) {
+	benchBuild(b, evidence.AutoBuilder{Workers: 1}, "airport", 3000)
+}
+
 // deltaBenchOnce builds the incremental-maintenance gate workload once:
 // adult at 2000 rows with a 1% append (20 rows duplicating existing
 // rows, so every appended value already occurs and the grown predicate

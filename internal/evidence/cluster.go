@@ -29,10 +29,15 @@ import (
 //     group's rank once (shared by every row tile), splitting each
 //     row's comparisons into three contiguous segments (>, =, <) that
 //     are OR-ed without any per-pair comparison or branch.
-//   - Deduplication runs through an open-addressing intern table keyed
-//     directly on the bitset words (word-level FNV hash, arena-backed,
-//     no string allocation); worker-local tables merge with a
-//     word-level combine instead of re-hashing through Go maps.
+//   - Pairs are built and deduplicated as clues, not predicate
+//     bitsets (see clueLayout): a base-mask id plus one 1–2 bit code
+//     per cross group, usually one word where the predicate bitset
+//     takes two or three. Each group's comparison outcome is one word
+//     OR; the open-addressing intern table (word-level FNV hash,
+//     arena-backed, no string allocation) hashes and compares clue
+//     words, and worker-local tables merge with a word-level combine.
+//     Each distinct clue is expanded to its predicate bitset once, at
+//     the end; the expansion is injective, so no second dedup runs.
 //
 // The worker count follows the data: single-threaded for small
 // super-pair counts (the goroutine fan-out costs more than the work),
@@ -76,29 +81,6 @@ func (b AutoBuilder) Build(space *predicate.Space, withVios bool) (*Set, error) 
 
 // ---- Cluster plan --------------------------------------------------------
 
-// sparseMask is an operator mask reduced to its nonzero words, so ORs
-// touch only the words a group can set (usually one).
-type sparseMask struct {
-	idxs []int32
-	vals []uint64
-}
-
-func sparsify(b bitset.Bits) sparseMask {
-	var m sparseMask
-	for i, w := range b {
-		if w != 0 {
-			m.idxs = append(m.idxs, int32(i))
-			m.vals = append(m.vals, w)
-		}
-	}
-	return m
-}
-
-// groupMasks are a cross group's three sparse comparison masks.
-type groupMasks struct {
-	lt, eq, gt sparseMask
-}
-
 // colTileIndex is one (scattered group, column tile) pre-sorted view:
 // the tile's positions ordered by the group's code, with the codes in
 // that order. Built once per column tile and shared by every row tile,
@@ -118,11 +100,11 @@ type clusterPlan struct {
 	s    int // super-rows
 	tile int
 
-	members  [][]int32     // super-row -> original row indexes (weight = len)
-	baseMask []bitset.Bits // super-row -> single-tuple mask (aliases plan.rowMask)
-	rowCodes [][]int32     // [group][super-row] code in the first-tuple role
-	colCodes [][]int32     // [group][super-row] code in the second-tuple role
-	masks    []groupMasks
+	clue     *clueLayout
+	members  [][]int32 // super-row -> original row indexes (weight = len)
+	baseClue []uint64  // super-row -> clue word 0 before any group ORs (its base-mask id)
+	rowCodes [][]int32 // [group][super-row] code in the first-tuple role
+	colCodes [][]int32 // [group][super-row] code in the second-tuple role
 
 	// clustered groups run the rank-run × rank-run block pass;
 	// scattered groups run the sorted-segment pass over colIdx.
@@ -145,29 +127,11 @@ func prepareClusters(p *plan, n, tileSize int) *clusterPlan {
 		tileSize = defaultTileSize
 	}
 	g := len(p.cross)
-	sigWords := p.words + g
-
-	// Signature: the single-tuple mask words plus, per cross group, the
-	// row's code in both tuple roles (packed into one word). Two rows
-	// with equal signatures satisfy exactly the same predicates against
-	// every third row and against each other — they are interchangeable
-	// in both pair positions.
-	tab := newInternTable(sigWords, n)
-	sig := make([]uint64, sigWords)
-	members := make([][]int32, 0, n/2)
-	for i := 0; i < n; i++ {
-		copy(sig, p.rowMask[i])
-		for k := range p.cross {
-			cg := &p.cross[k]
-			sig[p.words+k] = uint64(uint32(cg.ra[i])) | uint64(uint32(cg.rb[i]))<<32
-		}
-		idx, isNew := tab.intern(sig, bitset.HashWords(sig))
-		if isNew {
-			members = append(members, nil)
-		}
+	ids, s := p.signatures()
+	members := make([][]int32, s)
+	for i, idx := range ids {
 		members[idx] = append(members[idx], int32(i))
 	}
-	s := len(members)
 
 	// Visit order: lexicographic by group code, lowest-cardinality
 	// groups first, so the primary sort keys form the longest runs.
@@ -208,26 +172,21 @@ func prepareClusters(p *plan, n, tileSize int) *clusterPlan {
 		n:        n,
 		s:        s,
 		tile:     tileSize,
+		clue:     newClueLayout(p),
 		members:  make([][]int32, s),
-		baseMask: make([]bitset.Bits, s),
+		baseClue: make([]uint64, s),
 		rowCodes: make([][]int32, g),
 		colCodes: make([][]int32, g),
-		masks:    make([]groupMasks, g),
 		colIdx:   make([][]colTileIndex, g),
 	}
 	for k := range p.cross {
 		cp.rowCodes[k] = make([]int32, s)
 		cp.colCodes[k] = make([]int32, s)
-		cp.masks[k] = groupMasks{
-			lt: sparsify(p.cross[k].maskLt),
-			eq: sparsify(p.cross[k].maskEq),
-			gt: sparsify(p.cross[k].maskGt),
-		}
 	}
 	for t, src := range ord {
 		cp.members[t] = members[src]
 		r := rep[src]
-		cp.baseMask[t] = p.rowMask[r]
+		cp.baseClue[t] = uint64(p.baseID[r])
 		for k := range p.cross {
 			cp.rowCodes[k][t] = p.cross[k].ra[r]
 			cp.colCodes[k][t] = p.cross[k].rb[r]
@@ -324,8 +283,8 @@ func (cp *clusterPlan) run(space *predicate.Space, withVios bool, workers int) *
 
 	accs := make([]*clusterAcc, workers)
 	if workers <= 1 {
-		accs[0] = newClusterAcc(cp.p.words, withVios)
-		buf := make([]uint64, tileSize*tileSize*max(cp.p.words, 1))
+		accs[0] = newClusterAcc(cp.clue.words, withVios)
+		buf := make([]uint64, tileSize*tileSize*cp.clue.words)
 		for rt := 0; rt < numTiles; rt++ {
 			cp.rowTile(accs[0], buf, rt*tileSize, withVios)
 		}
@@ -336,11 +295,11 @@ func (cp *clusterPlan) run(space *predicate.Space, withVios bool, workers int) *
 		// merged distinct-set order) deterministic for a fixed W.
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
-			accs[w] = newClusterAcc(cp.p.words, withVios)
+			accs[w] = newClusterAcc(cp.clue.words, withVios)
 			wg.Add(1)
 			go func(acc *clusterAcc, w int) {
 				defer wg.Done()
-				buf := make([]uint64, tileSize*tileSize*max(cp.p.words, 1))
+				buf := make([]uint64, tileSize*tileSize*cp.clue.words)
 				for rt := w; rt < numTiles; rt += workers {
 					cp.rowTile(acc, buf, rt*tileSize, withVios)
 				}
@@ -379,9 +338,9 @@ func (cp *clusterPlan) rowTile(acc *clusterAcc, buf []uint64, r0 int, withVios b
 	}
 }
 
-// tileKernel builds the evidence of every super-pair in the tile
-// [r0,r1) × [c0,c1): base masks copied row-wise, block ORs for
-// clustered groups, segment ORs for scattered groups, then interning.
+// tileKernel builds the clue of every super-pair in the tile
+// [r0,r1) × [c0,c1): base ids written row-wise, block ORs for clustered
+// groups, segment ORs for scattered groups, then interning.
 func (cp *clusterPlan) tileKernel(acc *clusterAcc, buf []uint64, r0, r1, ct int, withVios bool) {
 	c0 := ct * cp.tile
 	c1 := c0 + cp.tile
@@ -389,35 +348,31 @@ func (cp *clusterPlan) tileKernel(acc *clusterAcc, buf []uint64, r0, r1, ct int,
 		c1 = cp.s
 	}
 	rows, cols := r1-r0, c1-c0
-	words := cp.p.words
+	words := cp.clue.words
+	fields := cp.clue.fields
 
-	// Initialize every pair of the tile with its row's single-tuple
-	// mask. Multi-word rows fill by copy-doubling: one seed pair, then
-	// log₂(cols) growing memmoves instead of one small copy per pair.
-	if words == 1 {
-		for ti := 0; ti < rows; ti++ {
-			w := cp.baseMask[r0+ti][0]
-			row := buf[ti*cols : (ti+1)*cols]
+	// Initialize every pair of the tile with its row's base id; the
+	// group fields start at zero.
+	for ti := 0; ti < rows; ti++ {
+		w := cp.baseClue[r0+ti]
+		row := buf[ti*cols*words : (ti+1)*cols*words]
+		if words == 1 {
 			for tj := range row {
 				row[tj] = w
 			}
+			continue
 		}
-	} else if words > 0 {
-		for ti := 0; ti < rows; ti++ {
-			bm := cp.baseMask[r0+ti]
-			row := buf[ti*cols*words : (ti+1)*cols*words]
-			copy(row, bm)
-			for filled := words; filled < len(row); filled *= 2 {
-				copy(row[filled:], row[:filled])
-			}
+		clear(row)
+		for tj := 0; tj < len(row); tj += words {
+			row[tj] = w
 		}
 	}
 
 	// Clustered groups, block pass: every rank-run × rank-run block is
-	// one cluster pair, selecting one mask for the whole block.
+	// one cluster pair, selecting one code for the whole block.
 	for _, k := range cp.clustered {
 		rc, cc := cp.rowCodes[k], cp.colCodes[k]
-		gm := &cp.masks[k]
+		f := &fields[k]
 		for ti := 0; ti < rows; {
 			a := rc[r0+ti]
 			te := ti + 1
@@ -430,16 +385,16 @@ func (cp *clusterPlan) tileKernel(acc *clusterAcc, buf []uint64, r0, r1, ct int,
 				for se < cols && cc[c0+se] == b {
 					se++
 				}
-				var m *sparseMask
+				var v uint64
 				switch {
 				case a == b:
-					m = &gm.eq
+					v = f.eq
 				case a < b:
-					m = &gm.lt
+					v = f.lt
 				default:
-					m = &gm.gt
+					v = f.gt
 				}
-				orBlock(buf, ti, te, tj, se, cols, words, m)
+				orBlock(buf, ti, te, tj, se, cols, words, f.word, v)
 				tj = se
 			}
 			ti = te
@@ -447,16 +402,16 @@ func (cp *clusterPlan) tileKernel(acc *clusterAcc, buf []uint64, r0, r1, ct int,
 	}
 
 	// Scattered groups, segment pass, row-major so each tile row's
-	// evidence stays L1-resident across groups. For each row the
-	// sorted column view splits into [0,lo) where the column's code is
-	// below the row's (maskGt), [lo,hi) equal (maskEq), and [hi,cols)
-	// above (maskLt) — no per-pair comparison or branch.
+	// clues stay L1-resident across groups. For each row the sorted
+	// column view splits into [0,lo) where the column's code is below
+	// the row's (gt), [lo,hi) equal (eq), and [hi,cols) above (lt) — no
+	// per-pair comparison or branch.
 	for ti := 0; ti < rows; ti++ {
 		rowBase := ti * cols * words
 		for _, k := range cp.scattered {
 			a := cp.rowCodes[k][r0+ti]
 			idx := &cp.colIdx[k][ct]
-			gm := &cp.masks[k]
+			f := &fields[k]
 			codes := idx.codes
 			// Inlined branchless-ish binary search for the first code
 			// ≥ a (sort.Search's closure call costs as much as the
@@ -474,9 +429,9 @@ func (cp *clusterPlan) tileKernel(acc *clusterAcc, buf []uint64, r0, r1, ct int,
 			for hi < len(codes) && codes[hi] == a {
 				hi++
 			}
-			orSegment(buf, rowBase, idx.perm[:lo], words, &gm.gt)
-			orSegment(buf, rowBase, idx.perm[lo:hi], words, &gm.eq)
-			orSegment(buf, rowBase, idx.perm[hi:], words, &gm.lt)
+			orSegment(buf, rowBase, idx.perm[:lo], words, f.word, f.gt)
+			orSegment(buf, rowBase, idx.perm[lo:hi], words, f.word, f.eq)
+			orSegment(buf, rowBase, idx.perm[hi:], words, f.word, f.lt)
 		}
 	}
 
@@ -510,14 +465,13 @@ func (cp *clusterPlan) tileKernel(acc *clusterAcc, buf []uint64, r0, r1, ct int,
 	}
 }
 
-// orBlock ORs a sparse mask into every pair of the block
-// [ti,te) × [tj,se) of the tile buffer.
-func orBlock(buf []uint64, ti, te, tj, se, cols, words int, m *sparseMask) {
-	if len(m.idxs) == 0 {
+// orBlock ORs v into clue word wi of every pair of the block
+// [ti,te) × [tj,se) of the tile buffer. A zero v (code 0) is a no-op.
+func orBlock(buf []uint64, ti, te, tj, se, cols, words, wi int, v uint64) {
+	if v == 0 {
 		return
 	}
 	if words == 1 {
-		v := m.vals[0]
 		for t := ti; t < te; t++ {
 			row := buf[t*cols : t*cols+cols]
 			for s := tj; s < se; s++ {
@@ -527,58 +481,47 @@ func orBlock(buf []uint64, ti, te, tj, se, cols, words int, m *sparseMask) {
 		return
 	}
 	for t := ti; t < te; t++ {
-		base := t * cols * words
-		if len(m.idxs) == 1 {
-			wi, v := int(m.idxs[0]), m.vals[0]
-			for s := tj; s < se; s++ {
-				buf[base+s*words+wi] |= v
-			}
-			continue
-		}
+		base := t*cols*words + wi
 		for s := tj; s < se; s++ {
-			off := base + s*words
-			for q, wi := range m.idxs {
-				buf[off+int(wi)] |= m.vals[q]
-			}
+			buf[base+s*words] |= v
 		}
 	}
 }
 
-// orSegment ORs a sparse mask into the pairs (rowBase, perm[...]) of
-// one tile row — the branch-free inner loop of the scattered pass.
-func orSegment(buf []uint64, rowBase int, perm []int32, words int, m *sparseMask) {
-	if len(m.idxs) == 0 || len(perm) == 0 {
+// orSegment ORs v into clue word wi of the pairs (rowBase, perm[...])
+// of one tile row — the branch-free inner loop of the scattered pass.
+func orSegment(buf []uint64, rowBase int, perm []int32, words, wi int, v uint64) {
+	if v == 0 || len(perm) == 0 {
 		return
 	}
 	if words == 1 {
-		v := m.vals[0]
 		row := buf[rowBase:]
 		for _, pj := range perm {
 			row[pj] |= v
 		}
 		return
 	}
-	if len(m.idxs) == 1 {
-		wi, v := int(m.idxs[0]), m.vals[0]
-		for _, pj := range perm {
-			buf[rowBase+int(pj)*words+wi] |= v
-		}
-		return
-	}
+	base := rowBase + wi
 	for _, pj := range perm {
-		off := rowBase + int(pj)*words
-		for q, wi := range m.idxs {
-			buf[off+int(wi)] |= m.vals[q]
-		}
+		buf[base+int(pj)*words] |= v
 	}
 }
 
-// finish assembles the Set: arena-backed bitset views, counts, and the
-// super-row vios expanded to per-tuple counts.
+// finish assembles the Set: each distinct clue expanded once into an
+// arena of predicate bitsets (index for index, so counts and vios carry
+// over unchanged), and the super-row vios expanded to per-tuple counts.
+// The clue table is not retained.
 func (cp *clusterPlan) finish(space *predicate.Space, acc *clusterAcc, withVios bool) *Set {
+	words, d := cp.p.words, acc.tab.len()
+	arena := make([]uint64, d*words)
+	sets := make([]bitset.Bits, d)
+	for k := range sets {
+		sets[k] = arena[k*words : (k+1)*words : (k+1)*words]
+		cp.clue.expand(cp.p, acc.tab.key(int32(k)), sets[k])
+	}
 	out := &Set{
 		Space:      space,
-		Sets:       acc.tab.sets(),
+		Sets:       sets,
 		Counts:     acc.tab.counts,
 		TotalPairs: int64(cp.n) * int64(cp.n-1),
 		NumRows:    cp.n,

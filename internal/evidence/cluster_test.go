@@ -1,6 +1,7 @@
 package evidence_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -226,5 +227,60 @@ func TestQuickClusterAgreesWithNaive(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		requireSameEvidence(t, naive, cluster, true)
+	}
+}
+
+// TestClueExpansionInjective builds each paper dataset's evidence and
+// checks that no two distinct clues expanded to the same evidence set:
+// the kernel deduplicates clues only, so a non-injective layout would
+// surface here as a repeated set.
+func TestClueExpansionInjective(t *testing.T) {
+	for _, name := range datagen.Names() {
+		d, err := datagen.ByName(name, 300, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		space := predicate.Build(d.Rel, predicate.DefaultOptions())
+		set, err := evidence.TiledBuilder{Workers: 2}.Build(space, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(asMultiset(set)); got != set.Distinct() {
+			t.Fatalf("%s: %d distinct clues expanded to %d distinct sets", name, set.Distinct(), got)
+		}
+	}
+}
+
+// TestClueMultiWord forces a clue wider than one word — 40 numeric
+// columns, each with its own 2-bit lt/eq/gt field — and checks the
+// tiled kernel against the oracle at tile sizes that split the tile
+// buffer's multi-word pairs every way.
+func TestClueMultiWord(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	n := 24
+	cols := make([]*dataset.Column, 40)
+	for c := range cols {
+		vals := make([]int64, n)
+		for i := range vals {
+			// Column pairs share a domain, so single-tuple and
+			// cross-column groups join the same-column ones.
+			vals[i] = int64(c/2)*100 + int64(r.Intn(4))
+		}
+		cols[c] = dataset.NewIntColumn(fmt.Sprintf("c%d", c), vals)
+	}
+	space := predicate.Build(dataset.MustNewRelation("wide", cols), predicate.DefaultOptions())
+	if w := evidence.ClueWords(space); w < 2 {
+		t.Fatalf("clue is %d word(s), want a multi-word clue", w)
+	}
+	naive, err := evidence.NaiveBuilder{}.Build(space, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tile := range []int{1, 2, 7} {
+		got, err := evidence.TiledBuilder{Workers: 2, TileSize: tile}.Build(space, true)
+		if err != nil {
+			t.Fatalf("tile=%d: %v", tile, err)
+		}
+		requireSameEvidence(t, naive, got, true)
 	}
 }

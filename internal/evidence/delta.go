@@ -68,25 +68,11 @@ func (s *Set) ApplyDelta(space *predicate.Space, store *pli.Store) (*Set, *Delta
 
 	p := preparePlan(space, store)
 
-	// Intern every row's super-row signature (single-tuple mask plus the
-	// per-group comparison codes, as in prepareClusters), splitting each
-	// signature's members at the append boundary.
-	g := len(p.cross)
-	sigWords := p.words + g
-	sigs := newInternTable(sigWords, n)
-	sig := make([]uint64, sigWords)
-	var oldMem, newMem [][]int32
-	for i := 0; i < n; i++ {
-		copy(sig, p.rowMask[i])
-		for c := range p.cross {
-			cg := &p.cross[c]
-			sig[p.words+c] = uint64(uint32(cg.ra[i])) | uint64(uint32(cg.rb[i]))<<32
-		}
-		idx, isNew := sigs.intern(sig, bitset.HashWords(sig))
-		if isNew {
-			oldMem = append(oldMem, nil)
-			newMem = append(newMem, nil)
-		}
+	// Split every row's super-row signature (as in prepareClusters) at
+	// the append boundary.
+	ids, numSigs := p.signatures()
+	oldMem, newMem := make([][]int32, numSigs), make([][]int32, numSigs)
+	for i, idx := range ids {
 		if i < old {
 			oldMem[idx] = append(oldMem[idx], int32(i))
 		} else {
@@ -98,9 +84,9 @@ func (s *Set) ApplyDelta(space *predicate.Space, store *pli.Store) (*Set, *Delta
 		members []int32
 		isNew   bool
 	}
-	parts := make([]part, 0, sigs.len()+8)
+	parts := make([]part, 0, numSigs+8)
 	var newParts []int
-	for k := 0; k < sigs.len(); k++ {
+	for k := 0; k < numSigs; k++ {
 		if len(oldMem[k]) > 0 {
 			parts = append(parts, part{rep: oldMem[k][0], members: oldMem[k]})
 		}
@@ -131,7 +117,7 @@ func (s *Set) ApplyDelta(space *predicate.Space, store *pli.Store) (*Set, *Delta
 
 	ev := make(bitset.Bits, p.words)
 	pairEv := func(i, j int32) bitset.Bits {
-		base := p.rowMask[i]
+		base := p.rowMask(int(i))
 		if len(p.cross) == 0 {
 			copy(ev, base)
 		} else {

@@ -9,8 +9,10 @@
 // AutoBuilder is the one builder: bit-level evidence in the style of
 // DCFinder (Pena et al.), the construction the paper adopts for its
 // evidence component (Section 4.2, component 3), with rows collapsed
-// into super-rows and the pair space tiled. Set.ApplyDelta maintains a
-// built set across appends. The package tests keep FASTDC's per-pair,
+// into super-rows and the pair space tiled. Pairs are built and
+// deduplicated as packed clues (one code per comparison group, as in
+// ECP, Xiao et al.) and each distinct clue is expanded to its predicate
+// bitset once. Set.ApplyDelta maintains a built set across appends. The package tests keep FASTDC's per-pair,
 // per-predicate build (Chu et al.) as the oracle.
 package evidence
 

@@ -23,3 +23,9 @@ func (b TiledBuilder) Build(space *predicate.Space, withVios bool) (*Set, error)
 	workers := max(b.Workers, 1)
 	return prepareClusters(preparePlan(space, nil), n, b.TileSize).run(space, withVios, workers), nil
 }
+
+// ClueWords returns the width in words of the clue AutoBuilder's kernel
+// packs each pair of space into.
+func ClueWords(space *predicate.Space) int {
+	return newClueLayout(preparePlan(space, nil)).words
+}

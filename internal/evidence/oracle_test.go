@@ -111,7 +111,7 @@ func (FastBuilder) Build(space *predicate.Space, withVios bool) (*Set, error) {
 	acc := newAccumulator(space, withVios)
 	ev := make(bitset.Bits, p.words)
 	for i := 0; i < n; i++ {
-		base := p.rowMask[i]
+		base := p.rowMask(i)
 		for j := 0; j < n; j++ {
 			if i == j {
 				continue

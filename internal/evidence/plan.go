@@ -17,12 +17,16 @@ type crossGroup struct {
 	maskGt  bitset.Bits // code a>b: {>, >=, !=}
 }
 
-// plan holds the precomputed per-row masks and cross-group rank/mask
-// tables that the cluster kernel and the delta pass start from.
+// plan holds the precomputed single-tuple masks and cross-group
+// rank/mask tables that the cluster kernel and the delta pass start
+// from. Rows share few distinct single-tuple masks (2–49 on the paper's
+// datasets at 300 rows), so each row carries the id of its mask
+// instead of a copy.
 type plan struct {
-	rowMask []bitset.Bits
-	cross   []crossGroup
-	words   int
+	baseID   []int32       // row -> index into baseMask
+	baseMask []bitset.Bits // distinct single-tuple masks, first-appearance order
+	cross    []crossGroup
+	words    int // predicate bitset width
 }
 
 // preparePlan computes PLI ranks, operator masks, and single-tuple row
@@ -63,10 +67,8 @@ func preparePlan(space *predicate.Space, store *pli.Store) *plan {
 		return indexes[col]
 	}
 
-	p := &plan{words: words, rowMask: make([]bitset.Bits, n)}
-	for i := range p.rowMask {
-		p.rowMask[i] = make(bitset.Bits, words)
-	}
+	p := &plan{words: words}
+	rowMask := make([]uint64, n*words) // row i: rowMask[i*words:(i+1)*words]
 	for gi := range space.Groups {
 		g := &space.Groups[gi]
 		if !g.Cross {
@@ -74,7 +76,7 @@ func preparePlan(space *predicate.Space, store *pli.Store) *plan {
 			for i := 0; i < n; i++ {
 				for _, id := range g.Members {
 					if space.Eval(id, i, 0) { // second row ignored
-						p.rowMask[i].Set(id)
+						bitset.Bits(rowMask[i*words : (i+1)*words]).Set(id)
 					}
 				}
 			}
@@ -115,7 +117,38 @@ func preparePlan(space *predicate.Space, store *pli.Store) *plan {
 		}
 		p.cross = append(p.cross, cg)
 	}
+	masks := newInternTable(words, 16)
+	p.baseID = make([]int32, n)
+	for i := range p.baseID {
+		m := rowMask[i*words : (i+1)*words]
+		p.baseID[i], _ = masks.intern(m, bitset.HashWords(m))
+	}
+	p.baseMask = masks.sets()
 	return p
+}
+
+// rowMask returns row i's single-tuple predicate mask.
+func (p *plan) rowMask(i int) bitset.Bits { return p.baseMask[p.baseID[i]] }
+
+// signatures assigns each row the id of its super-row signature, in
+// first-appearance order, and returns the number of signatures. The
+// signature is the row's base-mask id plus, per cross group, its code
+// in both tuple roles: two rows with equal signatures satisfy exactly
+// the same predicates against every third row and against each other,
+// so they are interchangeable in both pair positions.
+func (p *plan) signatures() (ids []int32, count int) {
+	sig := make([]uint64, 1+len(p.cross))
+	tab := newInternTable(len(sig), len(p.baseID))
+	ids = make([]int32, len(p.baseID))
+	for i := range ids {
+		sig[0] = uint64(p.baseID[i])
+		for k := range p.cross {
+			cg := &p.cross[k]
+			sig[1+k] = uint64(uint32(cg.ra[i])) | uint64(uint32(cg.rb[i]))<<32
+		}
+		ids[i], _ = tab.intern(sig, bitset.HashWords(sig))
+	}
+	return ids, tab.len()
 }
 
 // maxCode returns the largest code appearing in either slice (codes are
